@@ -31,6 +31,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWALStream -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzCompiledEval -fuzztime $(FUZZTIME) ./internal/fo
 	$(GO) test -run '^$$' -fuzz FuzzBitmapEval -fuzztime $(FUZZTIME) ./internal/fo
+	$(GO) test -run '^$$' -fuzz FuzzRewritingCompiles -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzWatchProtocol -fuzztime $(FUZZTIME) ./internal/server
 
 # One iteration per benchmark: compiles and exercises every benchmark

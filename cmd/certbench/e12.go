@@ -15,10 +15,9 @@ import (
 
 // runE12 measures the serving architecture of internal/engine: repeated
 // CERTAINTY traffic answered (a) cold — Classify + Rewrite per request,
-// (b) through the LRU plan cache, and (c) through the cache with the
-// parallel evaluation hot path; plus a batch of independent checks run
-// sequentially vs on the worker pool. Every mode is validated against
-// mode (a) — any disagreement fails the experiment.
+// and (b) through the LRU plan cache; plus a batch of independent checks
+// run sequentially vs on the worker pool. Every mode is validated
+// against mode (a) — any disagreement fails the experiment.
 func runE12(quick bool) error {
 	repeats := 200
 	batchItems := 16
@@ -82,25 +81,9 @@ func runE12(quick bool) error {
 	}
 	tCached := time.Since(t0)
 
-	// (c) cached + parallel evaluation hot path.
-	par := engine.New(engine.Options{ParallelEval: true})
-	t0 = time.Now()
-	for i := 0; i < repeats; i++ {
-		src := queries[i%len(queries)]
-		ans, err := par.Certain(parse.MustQuery(src), dbs[src].db)
-		if err != nil {
-			return err
-		}
-		if ans != dbs[src].want {
-			return fmt.Errorf("parallel engine disagrees on %s", src)
-		}
-	}
-	tParallel := time.Since(t0)
-
 	fmt.Printf("repeated traffic (%d requests over %d queries, %d blocks/rel):\n", repeats, len(queries), blocks)
 	fmt.Printf("  cold (Classify+Rewrite per request)  %v\n", tCold)
 	fmt.Printf("  plan cache                           %v   (%.1fx)\n", tCached, ratio(tCold, tCached))
-	fmt.Printf("  plan cache + parallel eval           %v   (%.1fx)\n", tParallel, ratio(tCold, tParallel))
 	fmt.Printf("  engine stats: %s\n", cached.Stats())
 
 	// Batch: the same independent checks, sequential loop vs worker pool,

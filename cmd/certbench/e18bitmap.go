@@ -2,8 +2,9 @@
 //
 // Part one re-times the E15 instances on the compiled-bitmap engine
 // (word-parallel quantifier sweeps over IDSet membership words) and
-// fails if it is slower than the scalar compiled evaluator on the
-// largest instance — the bitmap regression gate of `make bench-smoke`.
+// fails if it is slower than the scalar compiled evaluator
+// (fo.CompileScalar, E15's "compiled" rows) on the largest instance —
+// the bitmap regression gate of `make bench-smoke`.
 //
 // Part two measures engine.CertainBatch on a duplicate-heavy 64-item
 // batch (4 distinct queries × 16 copies, one snapshot) with and without
@@ -61,13 +62,13 @@ func runBenchBitmap(entries *[]benchEntry, quick bool, compiledNs map[string]int
 			declareAll(d, q)
 			want := fo.Eval(d, f)
 			bound := prog.Bind(d.Interned())
-			if bound.EvalBitmap() != want {
+			if bound.Eval() != want {
 				return fmt.Errorf("bench-out: bitmap evaluator disagrees with tree walker on %s blocks=%d", src, blocks)
 			}
 			res := testing.Benchmark(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					bound.EvalBitmap()
+					bound.Eval()
 				}
 			})
 			e := benchEntry{

@@ -32,7 +32,7 @@ var experiments = []struct {
 	{"E9", "attack-graph cost vs query size; Θ-reduction preservation", runE9},
 	{"E10", "extensions: SQL end-to-end, free variables, reifiability, ♯CERTAINTY", runE10},
 	{"E11", "P vs FO: matching-based PTIME deciders for q1 and q_Hall", runE11},
-	{"E12", "serving engine: plan cache, parallel evaluation, batch worker pool", runE12},
+	{"E12", "serving engine: plan cache, batch worker pool", runE12},
 	{"E13", "serving daemon: in-process HTTP server under load, self-validated answers, ops surfaces", runE13},
 	{"E14", "mutable store: daemon under read/write load, contemporaneous-snapshot validation, incremental invalidation", runE14},
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"cqa/internal/db"
-	"cqa/internal/direct"
 	"cqa/internal/fo"
 	"cqa/internal/naive"
 	"cqa/internal/planner"
@@ -52,13 +51,12 @@ func Prepare(q schema.Query) (*Prepared, error) {
 	}
 	p := &Prepared{cls: cls, plan: planner.New(q, cls.Verdict == VerdictFO)}
 	if cls.Verdict == VerdictFO {
-		prog, err := fo.Compile(cls.Rewriting)
-		if err != nil {
-			// Rewritings are sentences, so this is unreachable; fall back
-			// to the tree walker rather than failing the preparation.
-			prog = nil
+		// Rewritings are sentences, so Compile succeeds on every one
+		// (FuzzRewritingCompiles); an error here is a bug, not a
+		// fallback.
+		if p.prog, err = fo.Compile(cls.Rewriting); err != nil {
+			return nil, fmt.Errorf("core: compile rewriting: %w", err)
 		}
-		p.prog = prog
 	}
 	return p, nil
 }
@@ -69,14 +67,8 @@ func (p *Prepared) Classification() *Classification { return p.cls }
 // InFO reports whether CERTAINTY(q) is in FO (a rewriting is available).
 func (p *Prepared) InFO() bool { return p.cls.Verdict == VerdictFO }
 
-// HasCompiled reports whether the rewriting compiled to a program — the
-// fast path Certain actually takes for FO queries. False either because
-// the query is not in FO or because compilation fell back (unreachable
-// in practice, but explain output must report the executed path).
-func (p *Prepared) HasCompiled() bool { return p.prog != nil }
-
-// Program returns the compiled rewriting, or nil when HasCompiled is
-// false. Read-only; used by explain output for plan summaries.
+// Program returns the compiled rewriting, or nil when the query is not
+// in FO. Read-only; used by explain output for plan summaries.
 func (p *Prepared) Program() *fo.Program { return p.prog }
 
 // RewritingSize returns the node count of the consistent first-order
@@ -89,12 +81,8 @@ func (p *Prepared) RewritingSize() int {
 }
 
 // bound returns the compiled rewriting linked against d's interned view,
-// consulting the per-plan cache first. Returns nil when no compiled
-// program is available.
+// consulting the per-plan cache first. FO queries only.
 func (p *Prepared) bound(d *db.Database) *fo.Bound {
-	if p.prog == nil {
-		return nil
-	}
 	ix := d.Interned()
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -131,16 +119,13 @@ func (p *Prepared) QueryRels() []string {
 
 // CertainSupport answers CERTAINTY(q) on d while recording the support
 // set of the evaluation (the blocks every membership probe touched; see
-// fo.Support). supported is false when the query has no compiled
-// rewriting — non-FO queries and compile fallbacks — in which case the
+// fo.Support). supported is false for non-FO queries, in which case the
 // verdict is computed by Certain's normal dispatch and sup is nil: the
 // delta layer then degrades to relation-level re-evaluation.
 func (p *Prepared) CertainSupport(d *db.Database) (verdict bool, sup *fo.Support, supported bool) {
 	if p.InFO() {
-		if b := p.bound(d); b != nil {
-			verdict, sup = b.EvalSupport()
-			return verdict, sup, true
-		}
+		verdict, sup = p.bound(d).EvalSupport()
+		return verdict, sup, true
 	}
 	return p.Certain(d), nil, false
 }
@@ -151,7 +136,8 @@ func (p *Prepared) Plan() *planner.Plan { return p.plan }
 // PlanStrategy returns the evaluation-strategy label of the planner's
 // plan for non-FO queries ("matching", "reachability", "naive-repair").
 // It is "" for FO queries, whose strategy the engine names (the choice
-// between compiled and tree-walk evaluation is an engine option).
+// between compiled and tree-walk evaluation is the engine's rollback
+// option).
 func (p *Prepared) PlanStrategy() string { return p.plan.Strategy }
 
 // Decision returns the planner's recorded decision for d's current
@@ -179,40 +165,20 @@ func (p *Prepared) Decision(d *db.Database) *planner.Decision {
 }
 
 // Certain answers CERTAINTY(q) on d: via the compiled rewriting when the
-// query is in FO, via the planner's polynomial graph decider when one
+// query is in FO (bitmap-vectorized where a quantifier lowered; see
+// docs/EVAL.md), via the planner's polynomial graph decider when one
 // matches the (cyclic) query shape, by repair enumeration otherwise.
 func (p *Prepared) Certain(d *db.Database) bool {
 	if p.InFO() {
-		if b := p.bound(d); b != nil {
-			return b.Eval()
-		}
-		return evalOn(d, p.cls.Query, p.cls.Rewriting)
+		return p.bound(d).Eval()
 	}
 	return p.certainNonFO(d)
 }
 
 // HasBitmap reports whether the compiled rewriting lowered at least one
-// quantifier to the bitmap-vectorized form — the path CertainBitmap
-// actually accelerates. False for non-FO queries, compile fallbacks,
-// and programs with no vectorizable quantifier (where CertainBitmap is
-// exactly Certain).
+// quantifier to the bitmap-vectorized form. False for non-FO queries and
+// programs with no vectorizable quantifier.
 func (p *Prepared) HasBitmap() bool { return p.prog != nil && p.prog.HasBitmap() }
-
-// CertainBitmap answers like Certain but evaluates the compiled
-// rewriting on the bitmap-vectorized tree (fo.Bound.EvalBitmap; see
-// docs/EVAL.md). Verdicts are identical to Certain by construction;
-// non-FO queries and compile fallbacks take the same dispatch as
-// Certain. This is the engine's default serving path; the
-// engine.Options.DisableBitmap rollback restores Certain.
-func (p *Prepared) CertainBitmap(d *db.Database) bool {
-	if p.InFO() {
-		if b := p.bound(d); b != nil {
-			return b.EvalBitmap()
-		}
-		return evalOn(d, p.cls.Query, p.cls.Rewriting)
-	}
-	return p.certainNonFO(d)
-}
 
 // certainNonFO dispatches a non-FO query to the planner's decider when
 // one exists, else to repair enumeration.
@@ -234,50 +200,4 @@ func (p *Prepared) CertainTreeWalk(d *db.Database) bool {
 		return evalOn(d, p.cls.Query, p.cls.Rewriting)
 	}
 	return naive.IsCertain(p.cls.Query, d)
-}
-
-// CertainParallel answers CERTAINTY(q) on d like Certain, but fans the
-// evaluation across up to workers goroutines: for FO queries the
-// top-level quantifier iteration of the compiled rewriting is split over
-// candidate values (when the candidate list reaches minCandidates values;
-// ≤ 0 selects fo.DefaultMinParallelCandidates), for non-FO queries the
-// repair search is parallelized. workers ≤ 0 selects GOMAXPROCS. d must
-// not be mutated while the call runs; concurrent readers are fine (see
-// db.Database).
-func (p *Prepared) CertainParallel(d *db.Database, workers, minCandidates int) bool {
-	if p.InFO() {
-		if b := p.bound(d); b != nil {
-			return b.EvalParallel(workers, minCandidates)
-		}
-		return evalOnParallel(d, p.cls.Query, p.cls.Rewriting, workers, minCandidates)
-	}
-	// The planner's graph deciders are near-linear single passes; when
-	// one matches there is nothing worth fanning out.
-	if certain, ok := p.plan.Certain(d.Interned()); ok {
-		return certain
-	}
-	return naive.IsCertainParallel(p.cls.Query, d, workers)
-}
-
-// CertainVia answers with an explicit engine, reusing the prepared
-// rewriting for EngineRewriting.
-func (p *Prepared) CertainVia(d *db.Database, engine Engine) (bool, error) {
-	switch engine {
-	case EngineAuto:
-		return p.Certain(d), nil
-	case EngineRewriting:
-		if !p.InFO() {
-			return false, ErrNoRewriting
-		}
-		if b := p.bound(d); b != nil {
-			return b.Eval(), nil
-		}
-		return evalOn(d, p.cls.Query, p.cls.Rewriting), nil
-	case EngineDirect:
-		return direct.IsCertain(p.cls.Query, d)
-	case EngineNaive:
-		return naive.IsCertain(p.cls.Query, d), nil
-	default:
-		return false, fmt.Errorf("core: unknown engine %d", engine)
-	}
 }

@@ -26,13 +26,14 @@ func TestPreparedFO(t *testing.T) {
 	if !p.Certain(d) {
 		t.Error("q3 should be certain here")
 	}
-	got, err := p.CertainVia(d, core.EngineRewriting)
-	if err != nil || !got {
-		t.Errorf("CertainVia(rewriting) = %v, %v", got, err)
+	if !p.CertainTreeWalk(d) {
+		t.Error("tree walker disagrees with the compiled rewriting")
 	}
-	got, err = p.CertainVia(d, core.EngineDirect)
-	if err != nil || !got {
-		t.Errorf("CertainVia(direct) = %v, %v", got, err)
+	q := p.Classification().Query
+	for _, eng := range []core.Engine{core.EngineRewriting, core.EngineDirect} {
+		if got, err := core.Certain(q, d, eng); err != nil || !got {
+			t.Errorf("Certain(engine %d) = %v, %v", eng, got, err)
+		}
 	}
 }
 
@@ -48,7 +49,7 @@ func TestPreparedHardQuery(t *testing.T) {
 	if p.Certain(d) != naive.IsCertain(p.Classification().Query, d) {
 		t.Error("fallback disagrees with naive")
 	}
-	if _, err := p.CertainVia(d, core.EngineRewriting); err == nil {
+	if _, err := core.Certain(p.Classification().Query, d, core.EngineRewriting); err == nil {
 		t.Error("rewriting engine should fail for a hard query")
 	}
 }

@@ -62,9 +62,6 @@ func (s *IDSet) Card() int { return s.card }
 // Empty reports whether the set has no ids.
 func (s *IDSet) Empty() bool { return s.card == 0 }
 
-// Dense reports whether the set uses the word representation.
-func (s *IDSet) Dense() bool { return s.words != nil }
-
 // Words returns the dense word array, or nil for sparse sets. Bit
 // (id&63) of Words()[id>>6] is set iff id is in the set. The caller must
 // not mutate the result.
@@ -73,18 +70,6 @@ func (s *IDSet) Words() []uint64 { return s.words }
 // SparseIDs returns the sorted id list of a sparse set, or nil for dense
 // sets. The caller must not mutate the result.
 func (s *IDSet) SparseIDs() []int32 { return s.sparse }
-
-// NumWords returns the number of 64-id words the set spans: every member
-// id is < NumWords()*64.
-func (s *IDSet) NumWords() int32 {
-	if s.words != nil {
-		return int32(len(s.words))
-	}
-	if len(s.sparse) == 0 {
-		return 0
-	}
-	return (s.sparse[len(s.sparse)-1] >> 6) + 1
-}
 
 // Contains reports whether id is in the set.
 func (s *IDSet) Contains(id int32) bool {

@@ -13,8 +13,8 @@ import (
 // TestDifferentialEngineVsNaive is the property-based oracle check for
 // the engine paths: for ≥ 500 random sjfBCQ¬ queries with acyclic attack
 // graphs (CERTAINTY in FO) and small random databases, the cached
-// rewriting evaluation, the parallel evaluation hot path, and the batch
-// API must all agree with brute-force repair enumeration. This extends
+// rewriting evaluation, the ForceTreeWalk rollback, and the batch API
+// must all agree with brute-force repair enumeration. This extends
 // the exhaustive_test.go style of internal/rewrite to the engine layer:
 // the same oracle, but through the plan cache and the concurrent paths.
 func TestDifferentialEngineVsNaive(t *testing.T) {
@@ -27,7 +27,7 @@ func TestDifferentialEngineVsNaive(t *testing.T) {
 	dbOpts := gen.DBOptions{BlocksPerRelation: 2, MaxBlockSize: 2, DomainPerVariable: 3, ConstantBias: 0.7}
 
 	seq := New(Options{CacheSize: 64})
-	par := New(Options{CacheSize: 64, ParallelEval: true, MinParallelCandidates: 1, Workers: 4})
+	walk := New(Options{CacheSize: 64, ForceTreeWalk: true})
 
 	done := 0
 	var batch []Item
@@ -57,13 +57,13 @@ func TestDifferentialEngineVsNaive(t *testing.T) {
 			}
 		}
 
-		// Parallel hot path (threshold 1 forces the fan-out).
-		got, err := par.Certain(q, d)
+		// Tree-walk rollback.
+		got, err := walk.Certain(q, d)
 		if err != nil {
-			t.Fatalf("parallel engine %s: %v", q, err)
+			t.Fatalf("tree-walk engine %s: %v", q, err)
 		}
 		if got != want {
-			t.Fatalf("case %d: parallel engine = %v, naive oracle = %v\nquery: %s\ndb:\n%s", done, got, want, q, d)
+			t.Fatalf("case %d: tree-walk engine = %v, naive oracle = %v\nquery: %s\ndb:\n%s", done, got, want, q, d)
 		}
 
 		batch = append(batch, Item{Query: q, DB: d})

@@ -1,14 +1,12 @@
 // Package engine is the concurrent serving layer on top of core: a
 // thread-safe LRU plan cache that memoizes core.Prepare (classification +
 // consistent first-order rewriting + its compiled program, the expensive
-// query-only work), a worker-pool batch API that fans independent
-// CERTAINTY checks across goroutines, and an optional parallel evaluation
-// hot path that splits top-level quantifier iteration of the rewriting
-// across workers on large databases. Rewritings evaluate through the
+// query-only work), and a worker-pool batch API that fans independent
+// CERTAINTY checks across goroutines. Rewritings evaluate through the
 // compiled pipeline (interned constants, slot-based environments,
-// index-driven quantifier restriction — docs/EVAL.md) unless
-// Options.ForceTreeWalk selects the interpreting tree walker. See
-// docs/ENGINE.md for the architecture.
+// index-driven quantifier restriction, bitmap-vectorized inner
+// quantifiers — docs/EVAL.md) unless Options.ForceTreeWalk selects the
+// interpreting tree walker. See docs/ENGINE.md for the architecture.
 package engine
 
 import (
@@ -33,34 +31,20 @@ type Options struct {
 	// CacheSize is the maximum number of cached plans; ≤ 0 selects
 	// DefaultCacheSize.
 	CacheSize int
-	// Workers bounds the goroutines used by CertainBatch and by the
-	// parallel evaluation hot path; ≤ 0 selects GOMAXPROCS.
+	// Workers bounds the goroutines used by CertainBatch; ≤ 0 selects
+	// GOMAXPROCS.
 	Workers int
-	// ParallelEval enables the fo parallel hot path for single-item
-	// Certain calls: top-level quantifier iteration is split across
-	// Workers goroutines once the candidate list reaches
-	// MinParallelCandidates values. Batch items always evaluate
-	// sequentially per item — the batch itself provides the parallelism.
-	ParallelEval bool
-	// MinParallelCandidates is the fan-out threshold for ParallelEval;
-	// ≤ 0 selects fo.DefaultMinParallelCandidates.
-	MinParallelCandidates int
 	// ResultCacheSize is the maximum number of cached CERTAINTY answers
-	// for versioned databases (CertainVersioned); ≤ 0 selects
+	// for versioned views (CertainShardedVersioned); ≤ 0 selects
 	// DefaultResultCacheSize.
 	ResultCacheSize int
 	// ForceTreeWalk evaluates rewritings with the interpreting tree
 	// walker (fo.Eval) instead of the compiled evaluation pipeline
-	// (docs/EVAL.md). The compiled path is the default and is
-	// differentially tested against the tree walker; this is the
-	// operational rollback switch.
+	// (docs/EVAL.md), and non-FO queries by repair enumeration instead
+	// of the planner's graph deciders. The compiled path is the default
+	// and is differentially tested against the tree walker; this is the
+	// single operational rollback switch.
 	ForceTreeWalk bool
-	// DisableBitmap evaluates compiled rewritings on the scalar
-	// per-candidate tree instead of the bitmap-vectorized tree
-	// (docs/EVAL.md). The bitmap path is the default for programs with
-	// vectorizable quantifiers and is differentially tested against the
-	// scalar pipeline; this is its ForceTreeWalk-style rollback switch.
-	DisableBitmap bool
 	// DisableBatchSharing makes CertainBatch evaluate every item
 	// independently instead of grouping identical (query, snapshot)
 	// items into one shared evaluation. Rollback switch for the
@@ -170,22 +154,11 @@ func (e *Engine) prepare(q schema.Query) (*core.Prepared, error) {
 // signature (batch grouping computes it anyway), saving the
 // re-canonicalization.
 func (e *Engine) prepareSig(sig string, q schema.Query) (*core.Prepared, error) {
-	if p, ok := e.cache.get(sig); ok {
-		return p, nil
-	}
-	// Prepare outside the cache lock: concurrent misses for the same
-	// signature duplicate work instead of serializing all queries behind
-	// one slow rewrite.
-	p, err := core.Prepare(q)
-	if err != nil {
-		return nil, err
-	}
-	e.cache.put(sig, p)
-	return p, nil
+	p, _, err := e.cache.load(sig, func() (*core.Prepared, error) { return core.Prepare(q) })
+	return p, err
 }
 
-// Certain answers CERTAINTY(q) on d using a cached plan, with the
-// parallel evaluation hot path when Options.ParallelEval is set.
+// Certain answers CERTAINTY(q) on d using a cached plan.
 func (e *Engine) Certain(q schema.Query, d *db.Database) (bool, error) {
 	if err := e.begin(); err != nil {
 		return false, err
@@ -198,54 +171,13 @@ func (e *Engine) Certain(q schema.Query, d *db.Database) (bool, error) {
 	return e.certainWith(p, d), nil
 }
 
-// certainWith evaluates a prepared plan on d honouring the engine's
-// evaluation options (parallel fan-out, tree-walk rollback).
+// certainWith evaluates a prepared plan on d honouring the tree-walk
+// rollback. Every engine entry point evaluates through it.
 func (e *Engine) certainWith(p *core.Prepared, d *db.Database) bool {
 	if e.opt.ForceTreeWalk {
 		return p.CertainTreeWalk(d)
 	}
-	if e.opt.ParallelEval {
-		return p.CertainParallel(d, e.opt.Workers, e.opt.MinParallelCandidates)
-	}
-	if e.opt.DisableBitmap {
-		return p.Certain(d)
-	}
-	return p.CertainBitmap(d)
-}
-
-// CertainVersioned answers CERTAINTY(q) on one immutable snapshot of a
-// named, versioned database (the store layer), consulting the result
-// cache first: repeated checks of the same query against the same
-// version — including versions reached only by writes to relations the
-// query does not mention — return the memoized answer without touching
-// the database. cached reports whether the answer came from the cache.
-//
-// dbID must name the database stably across versions, and writes to it
-// must be reported via ApplyWrite in version order (wire the store's
-// OnApply hook to ApplyWrite). d must be the immutable snapshot at
-// exactly version.
-func (e *Engine) CertainVersioned(q schema.Query, dbID string, version uint64, d *db.Database) (certain, cached bool, err error) {
-	if err := e.begin(); err != nil {
-		return false, false, err
-	}
-	defer e.end()
-	// The result cache is consulted before the plan cache: a result hit
-	// answers without preparing (or even touching d) at all.
-	sig := q.Signature()
-	if ans, ok := e.results.get(sig, dbID, version); ok {
-		return ans, true, nil
-	}
-	p, err := e.prepare(q)
-	if err != nil {
-		return false, false, err
-	}
-	certain = e.certainWith(p, d)
-	rels := make(map[string]bool)
-	for _, a := range q.Atoms() {
-		rels[a.Rel] = true
-	}
-	e.results.put(sig, dbID, version, rels, certain)
-	return certain, false, nil
+	return p.Certain(d)
 }
 
 // ApplyWrite reports that dbID moved to newVersion by a write touching
@@ -418,10 +350,7 @@ func (e *Engine) CertainBatch(ctx context.Context, items []Item) []Result {
 // certainIsolated runs one check, converting panics (e.g. from malformed
 // formulas or databases) into per-item errors so one bad item cannot take
 // down the batch. sig is the item's canonical signature when the caller
-// already computed it ("" recomputes). The dispatch mirrors
-// BatchStrategy: batch items never take the parallel fan-out (the batch
-// is the parallelism), bitmap evaluation is the default, and
-// ForceTreeWalk/DisableBitmap roll back.
+// already computed it ("" recomputes).
 func (e *Engine) certainIsolated(it Item, sig string) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -435,11 +364,5 @@ func (e *Engine) certainIsolated(it Item, sig string) (res Result) {
 	if err != nil {
 		return Result{Err: err}
 	}
-	if e.opt.ForceTreeWalk {
-		return Result{Certain: p.CertainTreeWalk(it.DB)}
-	}
-	if e.opt.DisableBitmap {
-		return Result{Certain: p.Certain(it.DB)}
-	}
-	return Result{Certain: p.CertainBitmap(it.DB)}
+	return Result{Certain: e.certainWith(p, it.DB)}
 }

@@ -18,20 +18,16 @@ import (
 // Evaluation strategy names, as reported by Strategy and carried in the
 // strategy metric label.
 const (
-	// StrategyCompiled evaluates the compiled FO rewriting on the scalar
-	// per-candidate tree (docs/EVAL.md).
+	// StrategyCompiled evaluates the compiled FO rewriting whose
+	// quantifiers all stayed per-candidate loops (docs/EVAL.md).
 	StrategyCompiled = "compiled"
-	// StrategyCompiledBitmap evaluates the compiled rewriting on the
-	// bitmap-vectorized tree — word-parallel quantifier sweeps over
-	// IDSet membership words (docs/EVAL.md). Default for programs with
-	// vectorizable quantifiers; Options.DisableBitmap rolls back to
-	// StrategyCompiled.
+	// StrategyCompiledBitmap evaluates the compiled rewriting with at
+	// least one quantifier lowered to word-parallel sweeps over IDSet
+	// membership words (docs/EVAL.md). The program decides between this
+	// and StrategyCompiled; no option does.
 	StrategyCompiledBitmap = "compiled-bitmap"
-	// StrategyCompiledParallel is the compiled rewriting with top-level
-	// quantifier fan-out (Options.ParallelEval).
-	StrategyCompiledParallel = "compiled-parallel"
 	// StrategyTreeWalk interprets the rewriting with fo.Eval — selected
-	// by Options.ForceTreeWalk or when no compiled program is available.
+	// by Options.ForceTreeWalk.
 	StrategyTreeWalk = "tree-walk"
 	// The non-FO strategies are named by the planner, which selects them
 	// per query shape (docs/PLANNER.md): Hopcroft–Karp bipartite matching
@@ -47,35 +43,21 @@ const (
 // in FO → the planner's verdict (a polynomial graph decider when the
 // query shape has one, repair enumeration otherwise — ForceTreeWalk
 // disables the deciders too, it is the rollback switch for both
-// pipelines); ForceTreeWalk or a missing compiled program → tree walker;
-// otherwise the compiled pipeline, parallel when ParallelEval is set.
+// pipelines); ForceTreeWalk → tree walker; otherwise the compiled
+// program, labelled by whether any quantifier vectorized.
 func (e *Engine) Strategy(p *core.Prepared) string {
-	return e.strategy(p, e.opt.ParallelEval)
-}
-
-// BatchStrategy is Strategy for CertainBatch items, which always
-// evaluate sequentially per item (the batch is the parallelism).
-func (e *Engine) BatchStrategy(p *core.Prepared) string {
-	return e.strategy(p, false)
-}
-
-func (e *Engine) strategy(p *core.Prepared, parallel bool) string {
-	if !p.InFO() {
-		if e.opt.ForceTreeWalk {
-			return StrategyNaive
-		}
+	switch {
+	case !p.InFO() && e.opt.ForceTreeWalk:
+		return StrategyNaive
+	case !p.InFO():
 		return p.PlanStrategy()
-	}
-	if e.opt.ForceTreeWalk || !p.HasCompiled() {
+	case e.opt.ForceTreeWalk:
 		return StrategyTreeWalk
-	}
-	if parallel {
-		return StrategyCompiledParallel
-	}
-	if !e.opt.DisableBitmap && p.HasBitmap() {
+	case p.HasBitmap():
 		return StrategyCompiledBitmap
+	default:
+		return StrategyCompiled
 	}
-	return StrategyCompiled
 }
 
 // Options returns a copy of the engine's configuration (for explain
@@ -102,16 +84,7 @@ func (e *Engine) PrepareCached(q schema.Query) (p *core.Prepared, hit bool, err 
 		return nil, false, err
 	}
 	defer e.end()
-	sig := q.Signature()
-	if p, ok := e.cache.get(sig); ok {
-		return p, true, nil
-	}
-	p, err = core.Prepare(q)
-	if err != nil {
-		return nil, false, err
-	}
-	e.cache.put(sig, p)
-	return p, false, nil
+	return e.cache.load(q.Signature(), func() (*core.Prepared, error) { return core.Prepare(q) })
 }
 
 // Shard plan names, as reported by ShardPlanFor.

@@ -14,6 +14,9 @@ import (
 func TestStrategyMirrorsCertainWith(t *testing.T) {
 	queries := map[string]string{
 		"fo": "P(x | y), !N('c' | y)",
+		// FO, but the only quantifier's variable occurs twice in one
+		// atom, so nothing vectorizes.
+		"scalar": "P(x, x), !N(x)",
 		// Cyclic (not-FO, Sec 5.1) but negation-free, so neither planner
 		// pattern applies: repair enumeration.
 		"cyclic": "R(x | y), S(y | x)",
@@ -29,15 +32,11 @@ func TestStrategyMirrorsCertainWith(t *testing.T) {
 		want  string
 	}{
 		{"bitmap default", Options{}, "fo", StrategyCompiledBitmap},
-		{"bitmap rollback", Options{DisableBitmap: true}, "fo", StrategyCompiled},
-		{"parallel", Options{ParallelEval: true}, "fo", StrategyCompiledParallel},
+		{"scalar program", Options{}, "scalar", StrategyCompiled},
 		{"tree-walk switch", Options{ForceTreeWalk: true}, "fo", StrategyTreeWalk},
-		{"tree-walk beats bitmap", Options{ForceTreeWalk: true, DisableBitmap: true}, "fo", StrategyTreeWalk},
-		{"tree-walk beats parallel", Options{ForceTreeWalk: true, ParallelEval: true}, "fo", StrategyTreeWalk},
+		{"tree-walk beats scalar", Options{ForceTreeWalk: true}, "scalar", StrategyTreeWalk},
 		{"naive", Options{}, "cyclic", StrategyNaive},
-		{"naive under parallel", Options{ParallelEval: true}, "cyclic", StrategyNaive},
 		{"matching", Options{}, "matching", StrategyMatching},
-		{"matching under parallel", Options{ParallelEval: true}, "matching", StrategyMatching},
 		{"matching rollback", Options{ForceTreeWalk: true}, "matching", StrategyNaive},
 		{"reachability", Options{}, "reachability", StrategyReachability},
 		{"reachability rollback", Options{ForceTreeWalk: true}, "reachability", StrategyNaive},
@@ -52,15 +51,6 @@ func TestStrategyMirrorsCertainWith(t *testing.T) {
 		if got := e.Strategy(p); got != c.want {
 			t.Errorf("%s: Strategy = %q, want %q", c.name, got, c.want)
 		}
-	}
-	// Batch items never take the parallel hot path.
-	e := New(Options{ParallelEval: true})
-	p, err := e.Prepare(mustQuery(t, queries["fo"]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := e.BatchStrategy(p); got != StrategyCompiledBitmap {
-		t.Errorf("BatchStrategy = %q, want %q", got, StrategyCompiledBitmap)
 	}
 }
 
@@ -86,7 +76,7 @@ func TestExplainSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.HasCompiled() {
+	if p.Program() == nil {
 		t.Fatal("FO query should compile")
 	}
 	if n := p.RewritingSize(); n <= 0 {
@@ -109,7 +99,7 @@ func TestExplainSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if np.HasCompiled() || np.RewritingSize() != 0 {
+	if np.Program() != nil || np.RewritingSize() != 0 {
 		t.Fatal("not-FO query must report no compiled program and size 0")
 	}
 }

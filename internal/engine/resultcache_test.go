@@ -8,8 +8,15 @@ import (
 	"cqa/internal/db"
 	"cqa/internal/engine"
 	"cqa/internal/parse"
+	"cqa/internal/shard"
 	"cqa/internal/store"
 )
+
+// memDB is a single-shard in-memory database: the view shape the
+// serving layer hands CertainShardedVersioned for unsharded databases.
+func memDB(name, facts string) *shard.Sharded {
+	return shard.NewShardedFromStores(name, []*store.Store{store.NewMem(name, parse.MustDatabase(facts))})
+}
 
 // The acceptance property of incremental invalidation: after a write to
 // a relation q does not mention, re-answering q is a result-cache hit;
@@ -18,23 +25,23 @@ import (
 func TestResultCacheIncrementalInvalidation(t *testing.T) {
 	e := engine.New(engine.Options{})
 	defer e.Close()
-	st := store.NewMem("d", parse.MustDatabase("R(a | 1)\nR(a | 2)\nS(a | 1)\nT(z | z)"))
+	st := memDB("d", "R(a | 1)\nR(a | 2)\nS(a | 1)\nT(z | z)")
 	st.SetOnApply(func(c store.Change) { e.ApplyWrite("d", c.Version, c.Rels) })
 
 	q := parse.MustQuery("R(x | y), !S(y | x)") // mentions R and S, not T
 	ask := func() (bool, bool) {
 		t.Helper()
-		snap := st.Snapshot()
-		certain, cached, err := e.CertainVersioned(q, "d", snap.Version, snap.DB)
+		snap := st.View()
+		certain, cached, err := e.CertainShardedVersioned(q, "d", snap)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := core.Certain(q, snap.DB, core.EngineAuto)
+		want, err := core.Certain(q, snap.Union(), core.EngineAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if certain != want {
-			t.Fatalf("served %v at v%d, core.Certain says %v", certain, snap.Version, want)
+			t.Fatalf("served %v at v%d, core.Certain says %v", certain, snap.Version(), want)
 		}
 		return certain, cached
 	}
@@ -80,18 +87,18 @@ func TestResultCacheIncrementalInvalidation(t *testing.T) {
 func TestResultCacheNoOpWrite(t *testing.T) {
 	e := engine.New(engine.Options{})
 	defer e.Close()
-	st := store.NewMem("d", parse.MustDatabase("R(a | 1)"))
+	st := memDB("d", "R(a | 1)")
 	st.SetOnApply(func(c store.Change) { e.ApplyWrite("d", c.Version, c.Rels) })
 	q := parse.MustQuery("R(x | y)")
-	snap := st.Snapshot()
-	if _, _, err := e.CertainVersioned(q, "d", snap.Version, snap.DB); err != nil {
+	snap := st.View()
+	if _, _, err := e.CertainShardedVersioned(q, "d", snap); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Insert(db.F("R", "a", "1")); err != nil { // duplicate: no-op
 		t.Fatal(err)
 	}
-	snap = st.Snapshot()
-	if _, cached, _ := e.CertainVersioned(q, "d", snap.Version, snap.DB); !cached {
+	snap = st.View()
+	if _, cached, _ := e.CertainShardedVersioned(q, "d", snap); !cached {
 		t.Fatal("no-op write must keep the cache hit")
 	}
 }
@@ -102,21 +109,21 @@ func TestResultCacheNoOpWrite(t *testing.T) {
 func TestResultCacheRejectsStalePut(t *testing.T) {
 	e := engine.New(engine.Options{})
 	defer e.Close()
-	st := store.NewMem("d", parse.MustDatabase("R(a | 1)\nR(a | 2)"))
+	st := memDB("d", "R(a | 1)\nR(a | 2)")
 	st.SetOnApply(func(c store.Change) { e.ApplyWrite("d", c.Version, c.Rels) })
 	q := parse.MustQuery("R(x | y)")
 
 	// Take the snapshot before the write, evaluate after it.
-	old := st.Snapshot()
+	old := st.View()
 	if _, err := st.Delete(db.F("R", "a", "1"), db.F("R", "a", "2")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.CertainVersioned(q, "d", old.Version, old.DB); err != nil {
+	if _, _, err := e.CertainShardedVersioned(q, "d", old); err != nil {
 		t.Fatal(err)
 	}
 	// The stale evaluation must not be served at the current version.
-	now := st.Snapshot()
-	certain, cached, err := e.CertainVersioned(q, "d", now.Version, now.DB)
+	now := st.View()
+	certain, cached, err := e.CertainShardedVersioned(q, "d", now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,17 +141,17 @@ func TestResultCachePerDatabaseIsolation(t *testing.T) {
 	e := engine.New(engine.Options{})
 	defer e.Close()
 	q := parse.MustQuery("R(x | y), !S(y | x)")
-	mk := func(id, facts string) *store.Store {
-		st := store.NewMem(id, parse.MustDatabase(facts))
+	mk := func(id, facts string) *shard.Sharded {
+		st := memDB(id, facts)
 		st.SetOnApply(func(c store.Change) { e.ApplyWrite(id, c.Version, c.Rels) })
 		return st
 	}
 	a := mk("a", "R(a | 1)\nS(z | z)")
 	b := mk("b", "R(a | 1)\nS(1 | a)")
-	askOn := func(id string, st *store.Store) (bool, bool) {
+	askOn := func(id string, st *shard.Sharded) (bool, bool) {
 		t.Helper()
-		snap := st.Snapshot()
-		certain, cached, err := e.CertainVersioned(q, id, snap.Version, snap.DB)
+		snap := st.View()
+		certain, cached, err := e.CertainShardedVersioned(q, id, snap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,9 +181,9 @@ func TestResultCacheEviction(t *testing.T) {
 	q := parse.MustQuery("R(x | y)")
 	for i := 0; i < 4; i++ {
 		id := fmt.Sprintf("db%d", i)
-		st := store.NewMem(id, parse.MustDatabase("R(a | 1)"))
-		snap := st.Snapshot()
-		if _, _, err := e.CertainVersioned(q, id, snap.Version, snap.DB); err != nil {
+		st := memDB(id, "R(a | 1)")
+		snap := st.View()
+		if _, _, err := e.CertainShardedVersioned(q, id, snap); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -40,25 +40,15 @@ type ShardView interface {
 	Owner(rel string, key []string) int
 }
 
-// CertainSharded evaluates CERTAINTY(q) on a sharded view, without the
-// result cache.
-func (e *Engine) CertainSharded(q schema.Query, view ShardView) (bool, error) {
-	if err := e.begin(); err != nil {
-		return false, err
-	}
-	defer e.end()
-	p, err := e.prepare(q)
-	if err != nil {
-		return false, err
-	}
-	return e.certainSharded(p, q, view), nil
-}
-
-// CertainShardedVersioned is CertainSharded behind the exact-version
-// result cache: the global version plays the role a single store's
-// version plays in CertainVersioned, and invalidation rides the same
-// ApplyWrite path (the sharded facade reports one aggregate change per
-// batch, in global-version order).
+// CertainShardedVersioned answers CERTAINTY(q) on a sharded view behind
+// the exact-version result cache: repeated checks of the same query
+// against the same global version — including versions reached only by
+// writes to relations the query does not mention — return the memoized
+// answer without touching the view. cached reports whether the answer
+// came from the cache. dbID must name the database stably across
+// versions, and writes to it must be reported via ApplyWrite in version
+// order (the sharded facade reports one aggregate change per batch, in
+// global-version order).
 func (e *Engine) CertainShardedVersioned(q schema.Query, dbID string, view ShardView) (certain, cached bool, err error) {
 	if err := e.begin(); err != nil {
 		return false, false, err

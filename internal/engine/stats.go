@@ -34,9 +34,9 @@ type Stats struct {
 	CacheHits, CacheMisses, CacheEvictions uint64
 	CachedPlans                            int
 
-	// ResultHits and ResultMisses count CertainVersioned lookups in the
-	// versioned result cache; ResultInvalidations counts entries dropped
-	// because a write touched a relation their query mentions;
+	// ResultHits and ResultMisses count CertainShardedVersioned lookups
+	// in the versioned result cache; ResultInvalidations counts entries
+	// dropped because a write touched a relation their query mentions;
 	// CachedResults is the current population.
 	ResultHits, ResultMisses, ResultInvalidations uint64
 	CachedResults                                 int

@@ -106,7 +106,3 @@ func (e *Engine) DeltaCounters() (skipped, reevaluated, flipped uint64) {
 // DeltaQuiesce blocks until every change fed for dbID before the call
 // has been processed. Test and benchmark hook.
 func (e *Engine) DeltaQuiesce(dbID string) { e.delta.Quiesce(dbID) }
-
-// WatchFanIn reports the delta layer's registration population: total
-// watches and the distinct (signature, database) groups backing them.
-func (e *Engine) WatchFanIn() (watches, groups int) { return e.delta.FanIn() }

@@ -27,11 +27,12 @@ package fo
 // which is where the measured E18 speedup comes from.
 //
 // ∀ needs no special casing: compile.go already lowers ∀x φ to ¬∃x ¬φ.
-// Support recording (support.go) keeps walking the scalar tree, so the
-// delta layer's proof-carrying skip rules are unaffected. Lowering is
-// purely additive: Program.root is untouched and Bound.Eval and
-// EvalParallel still run the scalar pipeline, which is what the
-// DisableBitmap rollback flag falls back to.
+// Lowering rewrites Program.root in place, so Bound.Eval runs the
+// vectorized tree. Each nExistsVec keeps its scalar body because support
+// recording (support.go) needs every membership probe to hit the
+// recorder, so the delta layer's proof-carrying skip rules are
+// unaffected. CompileScalar skips the lowering; it is the baseline the
+// benchmark gates and the bitmap differentials compare against.
 
 // vnode is one vectorized formula node, evaluated over the bound
 // quantifier's candidate ids. word returns the 64-candidate membership
@@ -161,10 +162,9 @@ func (n *vImplies) word(m *mach, w int32) uint64 { return ^n.l.word(m, w) | n.r.
 func (n *vImplies) bit(m *mach, id int32) bool   { return !n.l.bit(m, id) || n.r.bit(m, id) }
 
 // nExistsVec is the vectorized form of nExists. It keeps the scalar body
-// (for support recording and as documentation of what vec was lowered
-// from) and adds the vector tree plus the prep lists: the scalar
-// subtrees, hole atoms, and equality ids that must be resolved against
-// the outer environment before the word sweep.
+// for support recording and adds the vector tree plus the prep lists:
+// the scalar subtrees, hole atoms, and equality ids that must be
+// resolved against the outer environment before the word sweep.
 type nExistsVec struct {
 	slot int32
 	cand int32
@@ -270,7 +270,7 @@ func (e *nExistsVec) eval(m *mach) bool {
 // vecBuilder accumulates the prep lists and scratch indexes while
 // vectorizing one quantifier body.
 type vecBuilder struct {
-	c       *compiler
+	p       *Program
 	slot    int32
 	scalars []*vScalar
 	atoms   []*vAtom
@@ -288,8 +288,8 @@ func (vb *vecBuilder) build(n node) vnode {
 		return vTrue{}
 	}
 	if !usesSlot(n, vb.slot) {
-		s := &vScalar{f: n, idx: vb.c.p.nVBits}
-		vb.c.p.nVBits++
+		s := &vScalar{f: n, idx: vb.p.nVBits}
+		vb.p.nVBits++
 		vb.scalars = append(vb.scalars, s)
 		return s
 	}
@@ -310,8 +310,8 @@ func (vb *vecBuilder) build(n node) vnode {
 				rest = append(rest, t)
 			}
 		}
-		a := &vAtom{rel: g.rel, hole: hole, rest: rest, idx: vb.c.p.nVSets}
-		vb.c.p.nVSets++
+		a := &vAtom{rel: g.rel, hole: hole, rest: rest, idx: vb.p.nVSets}
+		vb.p.nVSets++
 		vb.atoms = append(vb.atoms, a)
 		return a
 	case *nEq:
@@ -324,8 +324,8 @@ func (vb *vecBuilder) build(n node) vnode {
 		if rIsX {
 			other = g.l
 		}
-		e := &vEqC{t: other, idx: vb.c.p.nVIds}
-		vb.c.p.nVIds++
+		e := &vEqC{t: other, idx: vb.p.nVIds}
+		vb.p.nVIds++
 		vb.eqs = append(vb.eqs, e)
 		return e
 	case *nNot:
@@ -428,78 +428,46 @@ func mustSets(v vnode, pos bool, out []int32) []int32 {
 	return out
 }
 
-// lowerBitmap runs after compile: it rewrites the scalar tree bottom-up,
-// replacing every vectorizable nExists with an nExistsVec, and installs
-// the result as p.bmRoot when at least one quantifier vectorized. The
-// scalar root is left untouched.
-func (c *compiler) lowerBitmap() {
-	p := c.p
-	root, n := c.lowerNode(p.root)
-	if n > 0 {
-		p.bmRoot = root
-		p.vecQuants = n
-	}
+// lowerBitmap rewrites the compiled tree bottom-up in place, replacing
+// every vectorizable nExists with an nExistsVec.
+func (p *Program) lowerBitmap() {
+	p.root, p.vecQuants = p.lowerNode(p.root)
 }
 
-func (c *compiler) lowerNode(n node) (node, int) {
+// lowerNode lowers the subtree rooted at n and returns its replacement
+// and the number of quantifiers that vectorized.
+func (p *Program) lowerNode(n node) (node, int) {
 	switch g := n.(type) {
 	case *nNot:
-		f, k := c.lowerNode(g.f)
-		if k == 0 {
-			return g, 0
-		}
-		return &nNot{f: f}, k
+		var k int
+		g.f, k = p.lowerNode(g.f)
+		return g, k
 	case *nAnd:
-		fs := make([]node, len(g.fs))
-		k := 0
-		for i, f := range g.fs {
-			var ki int
-			fs[i], ki = c.lowerNode(f)
-			k += ki
-		}
-		if k == 0 {
-			return g, 0
-		}
-		return &nAnd{fs: fs}, k
+		return g, p.lowerAll(g.fs)
 	case *nOr:
-		fs := make([]node, len(g.fs))
-		k := 0
-		for i, f := range g.fs {
-			var ki int
-			fs[i], ki = c.lowerNode(f)
-			k += ki
-		}
-		if k == 0 {
-			return g, 0
-		}
-		return &nOr{fs: fs}, k
+		return g, p.lowerAll(g.fs)
 	case *nImplies:
-		l, kl := c.lowerNode(g.l)
-		r, kr := c.lowerNode(g.r)
-		if kl+kr == 0 {
-			return g, 0
-		}
-		return &nImplies{l: l, r: r}, kl + kr
+		var kl, kr int
+		g.l, kl = p.lowerNode(g.l)
+		g.r, kr = p.lowerNode(g.r)
+		return g, kl + kr
 	case *nExists:
-		body, k := c.lowerNode(g.body)
+		var k int
+		g.body, k = p.lowerNode(g.body)
 		// Snapshot scratch counters so a failed attempt does not leak
 		// unused machine slots.
-		p := c.p
 		sets, bits, ids := p.nVSets, p.nVBits, p.nVIds
-		vb := &vecBuilder{c: c, slot: g.slot}
-		vec := vb.build(body)
+		vb := &vecBuilder{p: p, slot: g.slot}
+		vec := vb.build(g.body)
 		if vb.failed {
 			p.nVSets, p.nVBits, p.nVIds = sets, bits, ids
-			if k == 0 {
-				return g, 0
-			}
-			return &nExists{slot: g.slot, cand: g.cand, body: body}, k
+			return g, k
 		}
-		c.markVecCand(g.cand)
+		p.markVecCand(g.cand)
 		return &nExistsVec{
 			slot:    g.slot,
 			cand:    g.cand,
-			body:    body,
+			body:    g.body,
 			vec:     vec,
 			scalars: vb.scalars,
 			atoms:   vb.atoms,
@@ -511,8 +479,17 @@ func (c *compiler) lowerNode(n node) (node, int) {
 	}
 }
 
-func (c *compiler) markVecCand(cand int32) {
-	p := c.p
+func (p *Program) lowerAll(fs []node) int {
+	k := 0
+	for i, f := range fs {
+		var ki int
+		fs[i], ki = p.lowerNode(f)
+		k += ki
+	}
+	return k
+}
+
+func (p *Program) markVecCand(cand int32) {
 	for len(p.vecCand) < len(p.cands) {
 		p.vecCand = append(p.vecCand, false)
 	}
@@ -520,25 +497,5 @@ func (c *compiler) markVecCand(cand int32) {
 }
 
 // HasBitmap reports whether at least one quantifier lowered to the
-// vectorized form; when false EvalBitmap is exactly Eval.
-func (p *Program) HasBitmap() bool { return p.bmRoot != nil }
-
-// VecQuants returns the number of quantifiers that lowered to the
-// vectorized form (0 when HasBitmap is false).
-func (p *Program) VecQuants() int { return p.vecQuants }
-
-// EvalBitmap evaluates the bound program on the bitmap-vectorized tree.
-// It agrees with Eval on every program by construction (the vector
-// semantics mirror the scalar body; TestBitmapDifferential and
-// FuzzBitmapEval enforce it) and falls back to Eval when no quantifier
-// vectorized. Safe for concurrent use; steady-state calls allocate
-// nothing once the lazy hole indexes are built.
-func (b *Bound) EvalBitmap() bool {
-	if b.p.bmRoot == nil {
-		return b.Eval()
-	}
-	m := b.pool.Get().(*mach)
-	r := b.p.bmRoot.eval(m)
-	b.pool.Put(m)
-	return r
-}
+// vectorized form. Always false for CompileScalar programs.
+func (p *Program) HasBitmap() bool { return p.vecQuants > 0 }

@@ -39,18 +39,28 @@ func TestBitmapDifferential(t *testing.T) {
 		if got := fo.Eval(d, f); got != want {
 			t.Fatalf("tree walker = %v, reference = %v on %s with db:\n%s", got, want, f, d)
 		}
-		p, err := fo.Compile(f)
-		if err != nil {
-			t.Fatalf("Compile(%s): %v", f, err)
-		}
-		b := p.Bind(d.Interned())
-		if got := b.Eval(); got != want {
-			t.Fatalf("compiled = %v, reference = %v on %s with db:\n%s", got, want, f, d)
-		}
-		if got := b.EvalBitmap(); got != want {
-			t.Fatalf("compiled-bitmap = %v, reference = %v on %s (vec quants %d) with db:\n%s",
-				got, want, f, p.VecQuants(), d)
-		}
+		checkPipelines(t, f, d, want)
+	}
+}
+
+// checkPipelines evaluates f on d with the lowered program (Compile) and
+// the scalar baseline (CompileScalar) and fails unless both give want.
+func checkPipelines(t testing.TB, f fo.Formula, d *db.Database, want bool) {
+	t.Helper()
+	sp, err := fo.CompileScalar(f)
+	if err != nil {
+		t.Fatalf("CompileScalar(%s): %v", f, err)
+	}
+	if got := sp.Bind(d.Interned()).Eval(); got != want {
+		t.Fatalf("compiled = %v, want %v on %s with db:\n%s", got, want, f, d)
+	}
+	p, err := fo.Compile(f)
+	if err != nil {
+		t.Fatalf("Compile(%s): %v", f, err)
+	}
+	if got := p.Bind(d.Interned()).Eval(); got != want {
+		t.Fatalf("compiled-bitmap = %v, want %v on %s (vectorized %v) with db:\n%s",
+			got, want, f, p.HasBitmap(), d)
 	}
 }
 
@@ -67,27 +77,16 @@ func TestBitmapConstantsOutsideDatabase(t *testing.T) {
 		fo.Eq{L: schema.Var("x"), R: schema.Const("zzz-not-in-db")},
 		fo.Not{F: fo.Atom{Rel: "S", Key: 1, Terms: []schema.Term{schema.Var("x")}}},
 	)}
-	p := fo.MustCompile(f)
-	if p.VecQuants() == 0 {
+	if !fo.MustCompile(f).HasBitmap() {
 		t.Fatal("quantifier with equality + negated atom did not vectorize")
 	}
-	b := p.Bind(d.Interned())
-	if !b.EvalBitmap() {
-		t.Fatal("bitmap eval lost the synthetic-constant witness")
-	}
-	if b.EvalBitmap() != b.Eval() {
-		t.Fatal("bitmap disagrees with scalar on synthetic constants")
-	}
+	checkPipelines(t, f, d, true)
 	// Same over an undeclared relation: ∃x (x = c ∧ ¬R(x, x)) is true.
 	g := fo.Exists{Vars: []string{"x"}, Body: fo.NewAnd(
 		fo.Eq{L: schema.Var("x"), R: schema.Const("c")},
 		fo.Not{F: fo.Atom{Rel: "R", Key: 1, Terms: []schema.Term{schema.Var("x"), schema.Var("x")}}},
 	)}
-	pg := fo.MustCompile(g)
-	bg := pg.Bind(d.Interned())
-	if bg.EvalBitmap() != bg.Eval() {
-		t.Fatal("bitmap disagrees with scalar on an undeclared relation")
-	}
+	checkPipelines(t, g, d, fo.EvalReference(d, g))
 }
 
 // The bitmap evaluator agrees with the scalar pipeline on real
@@ -108,18 +107,16 @@ func TestBitmapAgreesOnRewritings(t *testing.T) {
 		d := gen.Database(rng, q, dbOpts)
 		want := fo.Eval(d, f)
 		p := fo.MustCompile(f)
-		if p.VecQuants() > 0 {
+		if p.HasBitmap() {
 			vectorized++
 		}
 		b := p.Bind(d.Interned())
 		for i := 0; i < 3; i++ {
-			if got := b.EvalBitmap(); got != want {
+			if got := b.Eval(); got != want {
 				t.Fatalf("compiled-bitmap = %v, tree walker = %v on rewriting of %s\n%s", got, want, q, d)
 			}
 		}
-		if got := b.Eval(); got != want {
-			t.Fatalf("scalar Bound broken after bitmap use on rewriting of %s", q)
-		}
+		checkPipelines(t, f, d, want)
 	}
 	if vectorized == 0 {
 		t.Fatal("no generated rewriting vectorized a single quantifier")
@@ -141,15 +138,14 @@ func TestBitmapVectorizesBenchQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rewrite %q: %v", qs, err)
 		}
-		p := fo.MustCompile(f)
-		if p.VecQuants() == 0 {
+		if !fo.MustCompile(f).HasBitmap() {
 			t.Fatalf("rewriting of %q lowered zero vectorized quantifiers", qs)
 		}
 	}
 }
 
-// 32 goroutines share one Bound (one pool, one lazily built set of hole
-// indexes) and must all read the same verdicts from both pipelines. Run
+// 32 goroutines share one lowered Bound (one pool, one lazily built set
+// of hole indexes) and must all read the verdict of the scalar baseline. Run
 // under -race this is the shared-program race test.
 func TestBitmapSharedBoundRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(320))
@@ -173,9 +169,13 @@ func TestBitmapSharedBoundRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := fo.MustCompile(f)
-	b := p.Bind(d.Interned())
-	want := b.Eval()
+	b := fo.MustCompile(f).Bind(d.Interned())
+	sp, err := fo.CompileScalar(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb := sp.Bind(d.Interned())
+	want := sb.Eval()
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 32)
@@ -184,11 +184,11 @@ func TestBitmapSharedBoundRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if got := b.EvalBitmap(); got != want {
+				if got := b.Eval(); got != want {
 					errs <- fmt.Sprintf("bitmap verdict flipped to %v", got)
 					return
 				}
-				if got := b.Eval(); got != want {
+				if got := sb.Eval(); got != want {
 					errs <- fmt.Sprintf("scalar verdict flipped to %v", got)
 					return
 				}
@@ -229,10 +229,6 @@ func TestBitmapDenseSparseBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := fo.MustCompile(f)
-		b := p.Bind(d.Interned())
-		if got, want := b.EvalBitmap(), b.Eval(); got != want {
-			t.Fatalf("n=%d: bitmap = %v, scalar = %v", n, got, want)
-		}
+		checkPipelines(t, f, d, fo.Eval(d, f))
 	}
 }

@@ -11,9 +11,10 @@ import (
 )
 
 // benchBound builds the E-series scaling workload at the given block
-// count and returns the bound program (certbench measures the official
-// numbers; this benchmark is the in-package probe).
-func benchBound(b *testing.B, blocks int) *fo.Bound {
+// count and returns the bound lowered program, or the CompileScalar
+// baseline when scalar is set (certbench measures the official numbers;
+// this benchmark is the in-package probe).
+func benchBound(b *testing.B, blocks int, scalar bool) *fo.Bound {
 	q := parse.MustQuery("Lives(p | t), !Born(p | t), !Likes(p, t)")
 	f, err := rewrite.Rewrite(q)
 	if err != nil {
@@ -24,25 +25,32 @@ func benchBound(b *testing.B, blocks int) *fo.Bound {
 		DomainPerVariable: blocks, ConstantBias: 0.7}
 	d := gen.Database(rng, q, opt)
 	p := fo.MustCompile(f)
-	bound := p.Bind(d.Interned())
-	if bound.EvalBitmap() != bound.Eval() {
+	if !scalar {
+		return p.Bind(d.Interned())
+	}
+	sp, err := fo.CompileScalar(f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bound := sp.Bind(d.Interned())
+	if p.Bind(d.Interned()).Eval() != bound.Eval() {
 		b.Fatal("bitmap disagrees with scalar on the benchmark workload")
 	}
 	return bound
 }
 
 func BenchmarkBitmapEval1024(b *testing.B) {
-	bound := benchBound(b, 1024)
-	bound.EvalBitmap() // build the lazy hole indexes outside the timing
+	bound := benchBound(b, 1024, false)
+	bound.Eval() // build the lazy hole indexes outside the timing
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bound.EvalBitmap()
+		bound.Eval()
 	}
 }
 
 func BenchmarkScalarEval1024(b *testing.B) {
-	bound := benchBound(b, 1024)
+	bound := benchBound(b, 1024, true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

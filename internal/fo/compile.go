@@ -152,12 +152,10 @@ type Program struct {
 	maxArity int
 	source   Formula
 
-	// Bitmap lowering (bitmap.go): bmRoot is the vectorized tree (nil
-	// when no quantifier vectorized), vecQuants counts vectorized
-	// quantifiers, vecCand marks candidate plans that must materialize
-	// as IDSets at Bind time, and nVSets/nVBits/nVIds size the machine
-	// scratch the vector nodes index into.
-	bmRoot    node
+	// Bitmap lowering (bitmap.go): vecQuants counts the quantifiers of
+	// root that lowered to nExistsVec, vecCand marks candidate plans
+	// that must materialize as IDSets at Bind time, and nVSets/nVBits/
+	// nVIds size the machine scratch the vector nodes index into.
 	vecQuants int
 	vecCand   []bool
 	nVSets    int
@@ -178,9 +176,23 @@ type compiler struct {
 	err      error
 }
 
-// Compile lowers a sentence into a Program. It fails on free variables —
+// Compile lowers a sentence into a Program and vectorizes every
+// innermost quantifier it can (bitmap.go). It fails on free variables —
 // programs evaluate closed formulas only, like Eval.
 func Compile(f Formula) (*Program, error) {
+	p, err := CompileScalar(f)
+	if err != nil {
+		return nil, err
+	}
+	p.lowerBitmap()
+	return p, nil
+}
+
+// CompileScalar is Compile without the bitmap lowering: every quantifier
+// stays a per-candidate loop. It exists only as the baseline of the
+// compiled-vs-tree-walk and bitmap-vs-scalar benchmark gates and of the
+// bitmap differential tests; serving code never uses it.
+func CompileScalar(f Formula) (*Program, error) {
 	if free := FreeVars(f); !free.Empty() {
 		return nil, fmt.Errorf("fo: Compile on non-sentence with free variables %s", free)
 	}
@@ -193,7 +205,6 @@ func Compile(f Formula) (*Program, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
-	c.lowerBitmap()
 	return c.p, nil
 }
 
@@ -436,8 +447,8 @@ func (c *compiler) unionRestriction(x string, fs []Formula, positive bool) (cand
 // Bound is a Program linked against one interned database: constants
 // resolved to ids, relations resolved to indexes, and every quantifier's
 // candidate plan materialized into a concrete list. Read-only after Bind
-// and safe for unbounded concurrent Eval/EvalParallel calls; per-call
-// state lives in pooled machines.
+// and safe for unbounded concurrent Eval calls; per-call state lives in
+// pooled machines.
 type Bound struct {
 	p      *Program
 	ix     *db.Interned
@@ -449,7 +460,7 @@ type Bound struct {
 
 	// candSets materializes the candidate lists of vectorized
 	// quantifiers as IDSets (nil entries for scalar-only cands). Only
-	// populated when the program has a bitmap lowering.
+	// populated when some quantifier vectorized.
 	candSets []*db.IDSet
 }
 
@@ -494,7 +505,7 @@ func (p *Program) Bind(ix *db.Interned) *Bound {
 	for i, plan := range p.cands {
 		b.cands[i] = b.materialize(plan)
 	}
-	if p.bmRoot != nil {
+	if p.vecQuants > 0 {
 		b.candSets = make([]*db.IDSet, len(p.cands))
 		dom := ix.DomainIDs()
 		for i := range p.cands {
@@ -512,14 +523,15 @@ func (p *Program) Bind(ix *db.Interned) *Bound {
 		}
 	}
 	b.pool.New = func() any {
-		m := &mach{b: b, env: make([]int32, p.slots), argbuf: make([]int32, p.maxArity)}
-		if p.bmRoot != nil {
-			m.vsets = make([]*db.IDSet, p.nVSets)
-			m.vbits = make([]bool, p.nVBits)
-			m.vids = make([]int32, p.nVIds)
-			m.restbuf = make([]int32, p.maxArity)
+		return &mach{
+			b:       b,
+			env:     make([]int32, p.slots),
+			argbuf:  make([]int32, p.maxArity),
+			vsets:   make([]*db.IDSet, p.nVSets),
+			vbits:   make([]bool, p.nVBits),
+			vids:    make([]int32, p.nVIds),
+			restbuf: make([]int32, p.maxArity),
 		}
-		return m
 	}
 	return b
 }
@@ -603,22 +615,13 @@ func (m *mach) get(t termRef) int32 {
 	return m.b.consts[^t]
 }
 
-// Eval evaluates the bound program. Safe for concurrent use; steady-state
-// calls allocate nothing.
+// Eval evaluates the bound program: vectorized quantifiers sweep 64
+// candidates per IDSet word, the rest loop over their candidate lists.
+// Safe for concurrent use; steady-state calls allocate nothing once the
+// lazy hole indexes are built.
 func (b *Bound) Eval() bool {
 	m := b.pool.Get().(*mach)
 	r := b.p.root.eval(m)
 	b.pool.Put(m)
 	return r
-}
-
-// EvalCompiled is the convenience one-shot pipeline: intern (memoized on
-// d), compile, bind, evaluate. Serving paths should Compile/Bind once and
-// reuse the Bound instead.
-func EvalCompiled(d *db.Database, f Formula) bool {
-	p, err := Compile(f)
-	if err != nil {
-		panic(err)
-	}
-	return p.Bind(d.Interned()).Eval()
 }

@@ -27,15 +27,14 @@ func TestCompiledAgreesWithReference(t *testing.T) {
 		if got := fo.Eval(d, f); got != want {
 			t.Fatalf("tree walker disagrees with reference on %s with db:\n%s", f, d)
 		}
-		if got := fo.EvalCompiled(d, f); got != want {
+		if got := evalCompiled(d, f); got != want {
 			t.Fatalf("compiled = %v, reference = %v on %s with db:\n%s", got, want, f, d)
 		}
 	}
 }
 
 // The compiled pipeline agrees on real rewritings over generated
-// databases, sequentially and with the parallel fan-out, and the Bound is
-// reusable across evaluations.
+// databases, and the Bound is reusable across evaluations.
 func TestCompiledAgreesOnRewritings(t *testing.T) {
 	rng := rand.New(rand.NewSource(317))
 	opts := gen.DefaultQueryOptions()
@@ -60,9 +59,6 @@ func TestCompiledAgreesOnRewritings(t *testing.T) {
 				t.Fatalf("compiled = %v, tree walker = %v on rewriting of %s\n%s", got, want, q, d)
 			}
 		}
-		if got := b.EvalParallel(4, 1); got != want {
-			t.Fatalf("compiled parallel = %v, tree walker = %v on rewriting of %s\n%s", got, want, q, d)
-		}
 	}
 }
 
@@ -85,11 +81,11 @@ func TestCompiledMissingRelation(t *testing.T) {
 	// ∃x (R(x,x)) over undeclared R: false.
 	f := fo.Exists{Vars: []string{"x"}, Body: fo.Atom{Rel: "R", Key: 1,
 		Terms: []schema.Term{schema.Var("x"), schema.Var("x")}}}
-	if fo.EvalCompiled(d, f) {
+	if evalCompiled(d, f) {
 		t.Fatal("atom over undeclared relation evaluated to true")
 	}
 	// ¬∃x R(x,x): true.
-	if !fo.EvalCompiled(d, fo.Not{F: f}) {
+	if !evalCompiled(d, fo.Not{F: f}) {
 		t.Fatal("negated atom over undeclared relation evaluated to false")
 	}
 }
@@ -109,7 +105,7 @@ func TestCompiledConstantsOutsideDatabase(t *testing.T) {
 	if want := fo.Eval(d, f); !want {
 		t.Fatal("tree walker: expected true")
 	}
-	if !fo.EvalCompiled(d, f) {
+	if !evalCompiled(d, f) {
 		t.Fatal("compiled: synthetic constant lost in quantification")
 	}
 	// Two distinct unseen constants must stay distinct, the same one equal.
@@ -117,7 +113,7 @@ func TestCompiledConstantsOutsideDatabase(t *testing.T) {
 		fo.Eq{L: schema.Var("x"), R: schema.Const("u1")},
 		fo.Eq{L: schema.Var("x"), R: schema.Const("u2")},
 	)}
-	if fo.EvalCompiled(d, g) != fo.Eval(d, g) {
+	if evalCompiled(d, g) != fo.Eval(d, g) {
 		t.Fatal("distinct unseen constants compared equal")
 	}
 }
@@ -135,7 +131,7 @@ func TestCompiledShadowing(t *testing.T) {
 		fo.Exists{Vars: []string{"x"}, Body: fo.Eq{L: schema.Var("x"), R: schema.Const("b")}},
 		fo.Eq{L: schema.Var("x"), R: schema.Const("a")},
 	)}
-	if want, got := fo.Eval(d, f), fo.EvalCompiled(d, f); got != want {
+	if want, got := fo.Eval(d, f), evalCompiled(d, f); got != want {
 		t.Fatalf("shadowing: compiled = %v, tree walker = %v", got, want)
 	}
 }
@@ -179,4 +175,10 @@ func TestCompiledInternNextCOW(t *testing.T) {
 	if !p.Bind(ix2).Eval() {
 		t.Fatal("new snapshot misses the new fact")
 	}
+}
+
+// evalCompiled is the one-shot pipeline: intern (memoized on d), compile,
+// bind, evaluate.
+func evalCompiled(d *db.Database, f fo.Formula) bool {
+	return fo.MustCompile(f).Bind(d.Interned()).Eval()
 }

@@ -70,8 +70,8 @@ type CertainResponse struct {
 
 // ExplainInfo is the `"explain": true` payload: what the engine chose
 // and what it cost, stage by stage. Strategy names come from
-// engine.Strategy ("compiled", "compiled-parallel", "tree-walk",
-// "naive-repair"); shard plans from engine.ShardPlanFor ("single",
+// engine.Strategy ("compiled-bitmap", "compiled", "tree-walk",
+// "matching", "reachability", "naive-repair"); shard plans from engine.ShardPlanFor ("single",
 // "scatter", "pinned", "union"). See docs/OBSERVABILITY.md for the
 // schema contract.
 type ExplainInfo struct {

@@ -155,7 +155,7 @@ func (s *Server) handleCertain(w http.ResponseWriter, r *http.Request) {
 		// moved only by writes to relations q does not mention — skip
 		// evaluation entirely. Evaluation itself scatter-gathers:
 		// single-atom queries OR per-shard verdicts, joins run on the
-		// memoized union (engine.CertainSharded).
+		// memoized union (engine.CertainShardedVersioned).
 		sh := s.stores.Get(req.Database)
 		if sh == nil {
 			s.writeError(w, http.StatusNotFound, "unknown_database",
@@ -288,7 +288,7 @@ func explainFor(p *core.Prepared, strategy, planCache string, clock *stageClock,
 		Stages:        clock.stages,
 		TraceID:       tr.ID(),
 	}
-	if p.HasCompiled() {
+	if p.InFO() {
 		info.Quantifiers = p.Program().PlanSummary()
 	}
 	if info.Stages == nil {
@@ -407,13 +407,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if p, planHit, err := s.eng.PrepareCached(q); err == nil {
 		resp.Verdict = string(p.Classification().Verdict)
-		strategy := s.eng.BatchStrategy(p)
+		strategy := s.eng.Strategy(p)
 		s.reg.Counter(metrics.Label("eval_total",
 			"strategy", strategy, "cache", "bypass")).Add(uint64(len(good)))
 		if req.Explain {
 			// Batches bypass the versioned result cache; the explain covers
-			// the batch as a whole (BatchStrategy: items never take the
-			// parallel hot path, the batch is the parallelism).
+			// the batch as a whole.
 			resp.Explain = explainFor(p, strategy, cacheOutcome(planHit), clock, tr)
 		}
 	}

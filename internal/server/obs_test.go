@@ -155,18 +155,23 @@ func TestTraceCoverageThroughRouter(t *testing.T) {
 }
 
 // TestExplainReportsExecutedStrategy cross-checks `"explain": true`
-// against engine.Options: the strategy in the response must be the one
-// the engine actually dispatches for its configuration.
+// against engine.Options and the query: the strategy in the response
+// must be the one the engine actually dispatches, and the one the
+// eval_total{strategy} metric counts.
 func TestExplainReportsExecutedStrategy(t *testing.T) {
 	cases := []struct {
-		name string
-		opt  engine.Options
-		want string
+		name  string
+		opt   engine.Options
+		query string
+		want  string
 	}{
-		{"bitmap default", engine.Options{}, engine.StrategyCompiledBitmap},
-		{"bitmap rollback", engine.Options{DisableBitmap: true}, engine.StrategyCompiled},
-		{"tree-walk", engine.Options{ForceTreeWalk: true}, engine.StrategyTreeWalk},
-		{"parallel", engine.Options{ParallelEval: true}, engine.StrategyCompiledParallel},
+		{"bitmap default", engine.Options{}, "R(x | y)", engine.StrategyCompiledBitmap},
+		// FO, but x occurs twice in the only atom: nothing vectorizes.
+		{"compiled scalar", engine.Options{}, "Q(x, x)", engine.StrategyCompiled},
+		{"tree-walk", engine.Options{ForceTreeWalk: true}, "R(x | y)", engine.StrategyTreeWalk},
+		{"matching", engine.Options{}, "R(x | y), !S(y | x)", engine.StrategyMatching},
+		{"reachability", engine.Options{}, "E(x, y), !B(x | y), !C(y | x)", engine.StrategyReachability},
+		{"naive", engine.Options{}, "R(x | y), S(y | x)", engine.StrategyNaive},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -174,7 +179,8 @@ func TestExplainReportsExecutedStrategy(t *testing.T) {
 			if got := s.Engine().Options().ForceTreeWalk; got != c.opt.ForceTreeWalk {
 				t.Fatalf("engine options not surfaced: ForceTreeWalk=%v", got)
 			}
-			resp := postJSON(t, ts.URL+"/v1/certain", CertainRequest{Query: "R(x | y)", Database: "people", Explain: true})
+			fo := c.want == engine.StrategyCompiledBitmap || c.want == engine.StrategyCompiled || c.want == engine.StrategyTreeWalk
+			resp := postJSON(t, ts.URL+"/v1/certain", CertainRequest{Query: c.query, Database: "people", Explain: true})
 			ans := decodeBody[CertainResponse](t, resp)
 			if ans.Explain == nil {
 				t.Fatal("explain absent")
@@ -182,11 +188,14 @@ func TestExplainReportsExecutedStrategy(t *testing.T) {
 			if ans.Explain.Strategy != c.want {
 				t.Errorf("explain strategy = %q, want %q", ans.Explain.Strategy, c.want)
 			}
-			if ans.Explain.RewritingSize <= 0 {
+			if fo && ans.Explain.RewritingSize <= 0 {
 				t.Errorf("rewriting size = %d, want > 0", ans.Explain.RewritingSize)
 			}
-			if !c.opt.ForceTreeWalk && len(ans.Explain.Quantifiers) == 0 {
-				t.Error("compiled strategies should report a quantifier plan")
+			if fo && len(ans.Explain.Quantifiers) == 0 {
+				t.Error("FO strategies should report a quantifier plan")
+			}
+			if v, ok := scrapeMetrics(t, ts.URL).Value("eval_total", "strategy", ans.Explain.Strategy, "cache", "miss"); !ok || v != 1 {
+				t.Errorf("eval_total{strategy=%q,cache=miss} = %v (present=%v), want 1", ans.Explain.Strategy, v, ok)
 			}
 			if ans.Explain.ResultCache != "miss" {
 				t.Errorf("first evaluation resultCache = %q, want miss", ans.Explain.ResultCache)
@@ -205,14 +214,14 @@ func TestExplainReportsExecutedStrategy(t *testing.T) {
 			}
 
 			// Second ask: plan and result cache both hit.
-			resp = postJSON(t, ts.URL+"/v1/certain", CertainRequest{Query: "R(x | y)", Database: "people", Explain: true})
+			resp = postJSON(t, ts.URL+"/v1/certain", CertainRequest{Query: c.query, Database: "people", Explain: true})
 			ans = decodeBody[CertainResponse](t, resp)
 			if ans.Explain.PlanCache != "hit" || ans.Explain.ResultCache != "hit" {
 				t.Errorf("repeat explain: planCache=%q resultCache=%q, want hit/hit", ans.Explain.PlanCache, ans.Explain.ResultCache)
 			}
 
 			// Inline facts bypass the result cache entirely.
-			resp = postJSON(t, ts.URL+"/v1/certain", CertainRequest{Query: "R(x | y)", Facts: "R(a | 1)\n", Explain: true})
+			resp = postJSON(t, ts.URL+"/v1/certain", CertainRequest{Query: c.query, Facts: "R(a | 1)\n", Explain: true})
 			ans = decodeBody[CertainResponse](t, resp)
 			if ans.Explain == nil || ans.Explain.ResultCache != "" || ans.Explain.ShardPlan != "" {
 				t.Errorf("inline explain = %+v, want no result-cache/shard-plan fields", ans.Explain)
@@ -220,8 +229,8 @@ func TestExplainReportsExecutedStrategy(t *testing.T) {
 		})
 	}
 
-	// Batch explain reports the batch strategy (never parallel).
-	_, ts := newTestServer(t, Options{Engine: engine.New(engine.Options{ParallelEval: true})})
+	// Batch explain reports the same strategy as single reads.
+	_, ts := newTestServer(t, Options{})
 	resp := postJSON(t, ts.URL+"/v1/batch", BatchRequest{Query: "R(x | y)", Databases: []string{"people"}, Explain: true})
 	bat := decodeBody[BatchResponse](t, resp)
 	if bat.Explain == nil || bat.Explain.Strategy != engine.StrategyCompiledBitmap {

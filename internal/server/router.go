@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -330,28 +331,15 @@ func (rt *Router) handleCertain(w http.ResponseWriter, r *http.Request) {
 	// served versions, merge, and evaluate locally. Ground-key
 	// multi-atom queries confined to live shards stay answerable when
 	// other shards are down.
-	merged := db.New()
-	var mergeErr error
-	clock.time("gather", func() {
-		for _, i := range touched {
-			var fr FactsResponse
-			err = rt.readShard(r.Context(), i, func(base string) error {
-				return rt.getJSON(r.Context(), base, "/v1/db/facts?db="+url.QueryEscape(req.Database), &fr)
-			})
-			if err != nil {
-				return
-			}
-			if mergeErr = mergeFacts(merged, fr); mergeErr != nil {
-				return
-			}
-		}
-	})
-	if err != nil {
-		rt.relayShardError(w, r, err)
+	var merged *db.Database
+	var bad *badShardFacts
+	clock.time("gather", func() { merged, err = rt.gatherFacts(r.Context(), req.Database, touched) })
+	if errors.As(err, &bad) {
+		rt.inner.writeError(w, http.StatusBadGateway, "bad_shard_facts", bad.Error())
 		return
 	}
-	if mergeErr != nil {
-		rt.inner.writeError(w, http.StatusBadGateway, "bad_shard_facts", mergeErr.Error())
+	if err != nil {
+		rt.relayShardError(w, r, err)
 		return
 	}
 	if err := parse.DeclareQueryRelations(merged, q); err != nil {
@@ -398,6 +386,34 @@ func (rt *Router) relayShardError(w http.ResponseWriter, r *http.Request, err er
 		return
 	}
 	rt.writePartialResult(w, r, err)
+}
+
+// badShardFacts is a shard facts export that does not merge: handleCertain
+// answers it as bad_shard_facts instead of relaying it as a shard failure.
+type badShardFacts struct{ err error }
+
+func (e *badShardFacts) Error() string { return e.err.Error() }
+
+// gatherFacts fetches the touched shards' slices of database at their
+// served versions and merges them into one database — the facts-merge
+// read behind both handleCertain and the router's watch re-evaluation.
+// Shard read failures return as readShard reports them; merge failures
+// as *badShardFacts.
+func (rt *Router) gatherFacts(ctx context.Context, database string, touched []int) (*db.Database, error) {
+	merged := db.New()
+	for _, i := range touched {
+		var fr FactsResponse
+		err := rt.readShard(ctx, i, func(base string) error {
+			return rt.getJSON(ctx, base, "/v1/db/facts?db="+url.QueryEscape(database), &fr)
+		})
+		if err != nil {
+			return nil, err
+		}
+		if err := mergeFacts(merged, fr); err != nil {
+			return nil, &badShardFacts{err}
+		}
+	}
+	return merged, nil
 }
 
 // mergeFacts folds one shard's facts export into dst.

@@ -5,12 +5,10 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"net/url"
 	"strings"
 	"time"
 
 	"cqa/internal/core"
-	"cqa/internal/db"
 	"cqa/internal/parse"
 	"cqa/internal/schema"
 	"cqa/internal/shard"
@@ -265,22 +263,13 @@ func (rt *Router) watchShardOnce(ctx context.Context, i int, database, query str
 	return lastErr
 }
 
-// gatherEval fetches the touched shards' slices and evaluates p on the
-// merged database: the watch-path twin of handleCertain's facts-merge
-// read, without the explain/trace scaffolding.
+// gatherEval evaluates p on the touched shards' merged facts: the
+// watch-path twin of handleCertain's facts-merge read, without the
+// explain/trace scaffolding.
 func (rt *Router) gatherEval(ctx context.Context, q schema.Query, p *core.Prepared, database string, touched []int) (bool, error) {
-	merged := db.New()
-	for _, i := range touched {
-		var fr FactsResponse
-		err := rt.readShard(ctx, i, func(base string) error {
-			return rt.getJSON(ctx, base, "/v1/db/facts?db="+url.QueryEscape(database), &fr)
-		})
-		if err != nil {
-			return false, err
-		}
-		if err := mergeFacts(merged, fr); err != nil {
-			return false, err
-		}
+	merged, err := rt.gatherFacts(ctx, database, touched)
+	if err != nil {
+		return false, err
 	}
 	if err := parse.DeclareQueryRelations(merged, q); err != nil {
 		return false, err

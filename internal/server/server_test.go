@@ -43,6 +43,25 @@ func postJSON(t *testing.T, url string, body any) *http.Response {
 	return resp
 }
 
+// scrapeMetrics fetches and parses the server's /metrics exposition.
+func scrapeMetrics(t *testing.T, base string) *metrics.PromExposition {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := metrics.ParsePrometheus(buf.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exp
+}
+
 func decodeBody[T any](t *testing.T, resp *http.Response) T {
 	t.Helper()
 	defer resp.Body.Close()
@@ -155,7 +174,7 @@ func TestStatsAndOpsEndpoints(t *testing.T) {
 	}
 	stats := decodeBody[StatsResponse](t, resp)
 	// Each named-db request does one plan-cache lookup in the handler (for
-	// the verdict); the first also prepares inside CertainVersioned, the
+	// the verdict); the first also prepares inside CertainShardedVersioned, the
 	// later two hit the versioned result cache instead: 3 hits, 1 miss.
 	if stats.Engine.CacheHits != 3 || stats.Engine.CacheMisses != 1 {
 		t.Errorf("cache hits/misses = %d/%d, want 3/1", stats.Engine.CacheHits, stats.Engine.CacheMisses)

@@ -250,3 +250,27 @@ func TestRouterPrefersReplicas(t *testing.T) {
 		t.Fatalf("primary fallback should answer (certain): %+v", ans)
 	}
 }
+
+// A shard facts export that does not merge is answered as 502
+// bad_shard_facts by the facts-merge read, not relayed as a degraded
+// partial_result: the shard answered, its payload is wrong.
+func TestRouterBadShardFacts(t *testing.T) {
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/db/facts" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, `{"database": "d", "shard": 0, "shards": 1, "facts": "broken("}`)
+	}))
+	t.Cleanup(fake.Close)
+	rt := NewRouter(RouterOptions{Shards: []string{fake.URL}, Options: Options{Engine: engine.New(engine.Options{})}})
+	rts := httptest.NewServer(rt.Handler())
+	t.Cleanup(rts.Close)
+
+	resp := postJSON(t, rts.URL+"/v1/certain", CertainRequest{Query: "R(x | y), !S(y | x)", Database: "d"})
+	eb := decodeBody[ErrorBody](t, resp)
+	if resp.StatusCode != http.StatusBadGateway || eb.Error.Code != "bad_shard_facts" {
+		t.Fatalf("status %d, error %+v; want 502 bad_shard_facts", resp.StatusCode, eb.Error)
+	}
+}

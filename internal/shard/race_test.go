@@ -110,7 +110,7 @@ func TestShardedConcurrencyWithFollowers(t *testing.T) {
 		}(w)
 	}
 
-	readerLoop := func(view func() *shard.View) {
+	readerLoop := func(dbID string, view func() *shard.View) {
 		defer wg.Done()
 		var lastV uint64
 		for i := 0; ; i++ {
@@ -125,7 +125,7 @@ func TestShardedConcurrencyWithFollowers(t *testing.T) {
 				return
 			}
 			lastV = v.Version()
-			if _, err := eng.CertainSharded(queries[i%len(queries)], v); err != nil {
+			if _, _, err := eng.CertainShardedVersioned(queries[i%len(queries)], dbID, v); err != nil {
 				t.Errorf("reader: %v", err)
 				return
 			}
@@ -133,11 +133,11 @@ func TestShardedConcurrencyWithFollowers(t *testing.T) {
 	}
 	for r := 0; r < primaryReaders; r++ {
 		wg.Add(1)
-		go readerLoop(sh.View)
+		go readerLoop("primary", sh.View)
 	}
 	for r := 0; r < followerReaders; r++ {
 		wg.Add(1)
-		go readerLoop(func() *shard.View { return follower.Refresh() })
+		go readerLoop("follower", func() *shard.View { return follower.Refresh() })
 	}
 
 	writerWg.Wait()
@@ -164,11 +164,13 @@ func TestShardedConcurrencyWithFollowers(t *testing.T) {
 		t.Fatalf("follower diverged from primary:\n%s\nvs\n%s", fu, pu)
 	}
 	for _, q := range queries {
-		a, err := eng.CertainSharded(q, pv)
+		// Separate result-cache ids: each verdict is evaluated on its own
+		// view, never served from the other's entry.
+		a, _, err := eng.CertainShardedVersioned(q, "primary-final", pv)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := eng.CertainSharded(q, fv)
+		b, _, err := eng.CertainShardedVersioned(q, "follower-final", fv)
 		if err != nil {
 			t.Fatal(err)
 		}
