@@ -22,10 +22,9 @@ type Fact struct {
 // F is shorthand for constructing a fact.
 func F(rel string, args ...string) Fact { return Fact{Rel: rel, Args: args} }
 
-// String renders the fact without signature information.
-func (f Fact) String() string {
-	return f.Rel + "(" + strings.Join(f.Args, ", ") + ")"
-}
+// String renders the fact without signature information (no key bar),
+// constants quoted as in the fact syntax.
+func (f Fact) String() string { return FormatFact(f, 0) }
 
 // Equal reports whether two facts are identical.
 func (f Fact) Equal(g Fact) bool {
@@ -502,25 +501,15 @@ func (d *Database) remove(f Fact) {
 	}
 }
 
-// String renders the database as fact lines grouped by relation.
+// String renders the database as fact lines grouped by relation, in
+// the syntax parse.Database reads.
 func (d *Database) String() string {
 	var b strings.Builder
 	for _, name := range d.relNames {
+		key := d.rels[name].Key
 		for _, f := range d.Facts(name) {
-			r := d.rels[name]
-			b.WriteString(name)
-			b.WriteByte('(')
-			for i, a := range f.Args {
-				if i > 0 {
-					if i == r.Key {
-						b.WriteString(" | ")
-					} else {
-						b.WriteString(", ")
-					}
-				}
-				b.WriteString(a)
-			}
-			b.WriteString(")\n")
+			b.WriteString(FormatFact(f, key))
+			b.WriteByte('\n')
 		}
 	}
 	return b.String()

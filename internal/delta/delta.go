@@ -43,6 +43,7 @@ import (
 	"cqa/internal/db"
 	"cqa/internal/fo"
 	"cqa/internal/obs"
+	"cqa/internal/parse"
 	"cqa/internal/store"
 )
 
@@ -407,6 +408,16 @@ func (st *dbState) removeWatch(w *Watch) {
 	}
 }
 
+// dropGroup closes every watch of g and dissolves it.
+func (st *dbState) dropGroup(g *regGroup) {
+	for w := range g.watches {
+		close(w.events)
+	}
+	st.nWatches -= len(g.watches)
+	delete(st.groups, g.signature)
+	st.m.fanin(-int64(len(g.watches)), -1)
+}
+
 // shutdown closes every watch and fails every queued control op. The
 // fan-in counters drop before the channels close, so a consumer that
 // observes the close sees the settled population.
@@ -522,6 +533,12 @@ func (st *dbState) processChange(o op) {
 			nSkip++
 			st.m.skipped.Add(1)
 			st.m.hookReeval(st.name, OutcomeSkipped)
+			continue
+		}
+		if err := parse.CheckQueryRelations(cur, g.prep.Classification().Query); err != nil {
+			// A relation the query reads was declared under another
+			// signature: no verdict exists to maintain.
+			st.dropGroup(g)
 			continue
 		}
 		old := g.verdict
@@ -677,7 +694,8 @@ func (w *Watch) DB() string { return w.db }
 func (w *Watch) Signature() string { return w.signature }
 
 // Events returns the watch's event stream. The channel is closed by
-// Unregister, DropDB, and Close.
+// Unregister, DropDB, and Close, and when a write declares a relation
+// the query reads under another signature.
 func (w *Watch) Events() <-chan Event { return w.events }
 
 // State returns the last settled (version, verdict) pair. Safe for

@@ -87,7 +87,7 @@ func (e *Engine) PrepareCached(q schema.Query) (p *core.Prepared, hit bool, err 
 	return e.cache.load(q.Signature(), func() (*core.Prepared, error) { return core.Prepare(q) })
 }
 
-// Shard plan names, as reported by ShardPlanFor.
+// Shard plan names, as reported by ShardPlan.
 const (
 	// ShardPlanSingle: one shard holds everything; evaluate there.
 	ShardPlanSingle = "single"
@@ -95,31 +95,33 @@ const (
 	// OR-combine over the touched shards.
 	ShardPlanScatter = "scatter"
 	// ShardPlanPinned: multi-atom query whose ground keys confine it to
-	// one shard's blocks.
+	// one shard's blocks; that shard's verdict is the global one.
 	ShardPlanPinned = "pinned"
 	// ShardPlanUnion: joins across shards; evaluate on the merged union.
 	ShardPlanUnion = "union"
 )
 
-// ShardPlanFor reports, without evaluating, the plan certainSharded
-// takes for q on view and the shards it consults (every shard for the
-// union plan). The logic must mirror certainSharded exactly; the
-// sharded differential tests cross-check the two.
-func ShardPlanFor(q schema.Query, view ShardView) (plan string, shards []int) {
-	n := view.NumShards()
-	if n == 1 {
+// ShardPlan decides how q's verdict over n shards decomposes, with
+// owner placing each block (rel, key) on a shard. It is the one shard
+// planner: certainSharded evaluates by it, explain reports it, and the
+// router forwards or gathers by it.
+//
+// Every plan but union is answered by OR-combining the verdicts of the
+// returned shards on their own slices (see the package comment of
+// sharded.go for why that is exact): one shard for single and pinned,
+// the touched shards for scatter. For union the shards are those whose
+// blocks the verdict can depend on — every shard unless each key is
+// ground — and the verdict needs their merged facts.
+func ShardPlan(q schema.Query, n int, owner func(rel string, key []string) int) (plan string, shards []int) {
+	if n <= 1 {
 		return ShardPlanSingle, []int{0}
 	}
-	if len(q.Lits) == 1 && !q.Lits[0].Neg {
-		touched, _ := shard.TouchedOwned(q, n, view.Owner)
+	touched, all := shard.TouchedOwned(q, n, owner)
+	switch {
+	case len(q.Lits) == 1 && !q.Lits[0].Neg:
 		return ShardPlanScatter, touched
-	}
-	if touched, all := shard.TouchedOwned(q, n, view.Owner); !all && len(touched) == 1 {
+	case !all && len(touched) == 1:
 		return ShardPlanPinned, touched
 	}
-	shards = make([]int, n)
-	for i := range shards {
-		shards[i] = i
-	}
-	return ShardPlanUnion, shards
+	return ShardPlanUnion, touched
 }

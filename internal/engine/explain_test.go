@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -104,7 +105,7 @@ func TestExplainSurfaces(t *testing.T) {
 	}
 }
 
-func TestShardPlanForMirrorsCertainSharded(t *testing.T) {
+func TestShardPlanLabels(t *testing.T) {
 	sh, err := shard.NewSharded("d", 4, store.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -114,21 +115,30 @@ func TestShardPlanForMirrorsCertainSharded(t *testing.T) {
 	}
 	view := sh.View()
 
-	plan, shards := ShardPlanFor(mustQuery(t, "R(x | y)"), view)
+	plan, shards := ShardPlan(mustQuery(t, "R(x | y)"), view.NumShards(), view.Owner)
 	if plan != ShardPlanScatter || len(shards) != 4 {
 		t.Errorf("open single atom: plan=%s shards=%v", plan, shards)
 	}
-	plan, shards = ShardPlanFor(mustQuery(t, "R('a' | y)"), view)
+	plan, shards = ShardPlan(mustQuery(t, "R('a' | y)"), view.NumShards(), view.Owner)
 	if plan != ShardPlanScatter || len(shards) != 1 {
 		t.Errorf("ground single atom: plan=%s shards=%v", plan, shards)
 	}
-	plan, shards = ShardPlanFor(mustQuery(t, "R('a' | y), !S('a' | y)"), view)
+	plan, shards = ShardPlan(mustQuery(t, "R('a' | y), !S('a' | y)"), view.NumShards(), view.Owner)
 	if plan != ShardPlanPinned || len(shards) != 1 {
 		t.Errorf("pinned multi-atom: plan=%s shards=%v", plan, shards)
 	}
-	plan, shards = ShardPlanFor(mustQuery(t, "R(x | y), !S(y | y)"), view)
+	plan, shards = ShardPlan(mustQuery(t, "R(x | y), !S(y | y)"), view.NumShards(), view.Owner)
 	if plan != ShardPlanUnion || !reflect.DeepEqual(shards, []int{0, 1, 2, 3}) {
 		t.Errorf("join: plan=%s shards=%v", plan, shards)
+	}
+	// Every key ground, but on two shards: a union over just those two.
+	other := "b"
+	for i := 0; view.Owner("S", []string{other}) == view.Owner("R", []string{"a"}); i++ {
+		other = fmt.Sprintf("b%d", i)
+	}
+	plan, shards = ShardPlan(mustQuery(t, fmt.Sprintf("R('a' | y), !S('%s' | y)", other)), view.NumShards(), view.Owner)
+	if plan != ShardPlanUnion || len(shards) != 2 {
+		t.Errorf("ground join over two shards: plan=%s shards=%v", plan, shards)
 	}
 }
 
@@ -140,7 +150,7 @@ func TestShardPlanSingleShard(t *testing.T) {
 	if _, err := sh.ApplyDB(parse.MustDatabase("R(a | 1)")); err != nil {
 		t.Fatal(err)
 	}
-	plan, shards := ShardPlanFor(mustQuery(t, "R(x | y), !S(y | x)"), sh.View())
+	plan, shards := ShardPlan(mustQuery(t, "R(x | y), !S(y | x)"), 1, sh.View().Owner)
 	if plan != ShardPlanSingle || !reflect.DeepEqual(shards, []int{0}) {
 		t.Errorf("single: plan=%s shards=%v", plan, shards)
 	}

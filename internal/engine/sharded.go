@@ -11,20 +11,26 @@
 //     only shards that can own a matching block (shard.Touched) need
 //     evaluating at all.
 //
-//   - Multi-atom queries do NOT decompose into per-shard verdicts: with
-//     R(a|b) on shard 0 and S(b|c) on shard 1, the join R(x|y), S(y|z)
-//     is certain on neither shard alone yet certain on the database.
-//     Those queries evaluate on the merged union view — still one
-//     process-local evaluation, with the union memoized per version.
+//   - A query whose every atom has a ground key depends only on the
+//     blocks those keys name. When they all live on one shard (same-key
+//     blocks co-locate under key-only placement), that shard's verdict
+//     is the global verdict: the query is pinned.
 //
-// See docs/SHARDING.md for the full argument.
+//   - Other multi-atom queries do NOT decompose into per-shard
+//     verdicts: with R(a|b) on shard 0 and S(b|c) on shard 1, the join
+//     R(x|y), S(y|z) is certain on neither shard alone yet certain on
+//     the database. Those queries evaluate on the merged union view —
+//     still one process-local evaluation, with the union memoized per
+//     version.
+//
+// ShardPlan names which rule applies; see docs/SHARDING.md for the
+// full argument.
 package engine
 
 import (
 	"cqa/internal/core"
 	"cqa/internal/db"
 	"cqa/internal/schema"
-	"cqa/internal/shard"
 )
 
 // ShardView is the engine's read interface onto one consistent
@@ -71,27 +77,18 @@ func (e *Engine) CertainShardedVersioned(q schema.Query, dbID string, view Shard
 	return certain, false, nil
 }
 
-// certainSharded picks the evaluation strategy for a prepared query on
-// a view.
+// certainSharded evaluates a prepared query on a view by its
+// ShardPlan: on the merged union for union plans, otherwise as the OR
+// of the planned shards' own verdicts.
 func (e *Engine) certainSharded(p *core.Prepared, q schema.Query, view ShardView) bool {
-	n := view.NumShards()
-	if n == 1 {
-		return e.certainWith(p, view.Shard(0))
+	plan, shards := ShardPlan(q, view.NumShards(), view.Owner)
+	if plan == ShardPlanUnion {
+		return e.certainWith(p, view.Union())
 	}
-	if len(q.Lits) == 1 && !q.Lits[0].Neg {
-		shards, _ := shard.TouchedOwned(q, n, view.Owner)
-		for _, i := range shards {
-			if e.certainWith(p, view.Shard(i)) {
-				return true
-			}
+	for _, i := range shards {
+		if e.certainWith(p, view.Shard(i)) {
+			return true
 		}
-		return false
 	}
-	// A multi-atom query confined to one shard's blocks (every key
-	// ground, all owners equal) needs only that shard; anything else
-	// joins across shards and evaluates on the union.
-	if shards, all := shard.TouchedOwned(q, n, view.Owner); !all && len(shards) == 1 {
-		return e.certainWith(p, view.Shard(shards[0]))
-	}
-	return e.certainWith(p, view.Union())
+	return false
 }

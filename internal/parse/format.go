@@ -10,58 +10,38 @@ import (
 
 // Rendering the database syntax back out: the inverse of Database, used
 // by the shard router to re-render a partitioned write batch per owner
-// shard, and by the facts-export endpoint. FormatDatabase ∘ Database is
-// the identity on database content (facts and signatures).
-
-// formatConst renders one constant argument: bare when every rune is an
-// identifier rune, single-quoted otherwise. Constants that cannot be
-// quoted (embedded quote or newline — the syntax has no escapes) are
-// rejected.
-func formatConst(v string) (string, error) {
-	if v != "" && !strings.ContainsFunc(v, func(r rune) bool { return !isIdentRune(r) }) {
-		return v, nil
-	}
-	if strings.ContainsAny(v, "'\n\r") {
-		return "", fmt.Errorf("parse: constant %q cannot be rendered in the database syntax", v)
-	}
-	return "'" + v + "'", nil
-}
+// shard, and by the facts-export endpoint. Rendering every relation
+// with FormatRelations and parsing it back is the identity on database
+// content (facts and signatures).
 
 // FormatFact renders one fact as a database line, key positions before
-// the bar: R(a, b | c). An all-key fact has no bar.
+// the bar: R(a, b | c). An all-key fact has no bar. Constants the syntax
+// cannot express (embedded quote or line break — it has no escapes) are
+// rejected.
 func FormatFact(f db.Fact, key int) (string, error) {
-	var b strings.Builder
-	b.WriteString(f.Rel)
-	b.WriteByte('(')
-	for i, a := range f.Args {
-		if i > 0 {
-			if i == key {
-				b.WriteString(" | ")
-			} else {
-				b.WriteString(", ")
-			}
+	for _, a := range f.Args {
+		if _, ok := db.QuoteConst(a); !ok {
+			return "", fmt.Errorf("parse: constant %q cannot be rendered in the database syntax", a)
 		}
-		c, err := formatConst(a)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(c)
 	}
-	b.WriteByte(')')
-	return b.String(), nil
+	return db.FormatFact(f, key), nil
 }
 
-// FormatDatabase renders d as a multi-line database listing, relations
-// sorted by name and facts in insertion order, that Database parses back
-// to equal content. Relations without facts cannot be expressed in the
-// syntax (signatures are inferred from facts) and are skipped; callers
-// that must preserve empty relations ship the signature list separately.
-func FormatDatabase(d *db.Database) (string, error) {
-	names := d.RelationNames()
+// FormatRelations renders the named relations of d as a multi-line
+// database listing, relations sorted by name and facts in insertion
+// order, that Database parses back to equal content; names d does not
+// know are skipped. Relations without facts cannot be expressed in the
+// syntax (signatures are inferred from facts), so callers that need
+// them must carry signatures separately.
+func FormatRelations(d *db.Database, names []string) (string, error) {
+	names = append([]string(nil), names...)
 	sort.Strings(names)
 	var b strings.Builder
 	for _, name := range names {
 		r := d.Relation(name)
+		if r == nil {
+			continue
+		}
 		for _, f := range d.Facts(name) {
 			line, err := FormatFact(f, r.Key)
 			if err != nil {

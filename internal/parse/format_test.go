@@ -9,7 +9,7 @@ import (
 func TestFormatDatabaseRoundTrip(t *testing.T) {
 	src := "R(a | 1)\nR(b | 2)\nS('x y' | 'has space', plain)\nT(k)\n"
 	d := MustDatabase(src)
-	out, err := FormatDatabase(d)
+	out, err := FormatRelations(d, d.RelationNames())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,6 +56,8 @@ func FuzzDatabase(f *testing.F) {
 		"R(a | b)\nR(a, b)",
 		"broken(",
 		"R(a | b) trailing",
+		"A('')",
+		"R('x y' | '')",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -68,15 +68,11 @@ func (l *lexer) expect(r rune) error {
 	return nil
 }
 
-func isIdentRune(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '·' || r == '⊥'
-}
-
 // ident reads an identifier or number; returns "" when none is present.
 func (l *lexer) ident() string {
 	l.skipSpace()
 	start := l.pos
-	for l.pos < len(l.src) && isIdentRune(l.src[l.pos]) {
+	for l.pos < len(l.src) && db.IdentRune(l.src[l.pos]) {
 		l.pos++
 	}
 	return string(l.src[start:l.pos])
@@ -251,11 +247,28 @@ func MustDatabase(src string) *db.Database {
 
 // DeclareQueryRelations declares in d every relation that q mentions, so
 // that empty relations are still known to the evaluator. Signatures must
-// agree with any facts already inserted.
+// agree with any facts already inserted (see CheckQueryRelations).
 func DeclareQueryRelations(d *db.Database, q schema.Query) error {
+	if err := CheckQueryRelations(d, q); err != nil {
+		return err
+	}
 	for _, a := range q.Atoms() {
 		if err := d.DeclareRelation(a.Rel, a.Arity(), a.Key); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// CheckQueryRelations reports the first atom of q whose relation d
+// stores under another signature. Evaluating such a query would index
+// past the stored tuples, so every read of a stored database checks
+// first; relations d does not know are fine (they are empty).
+func CheckQueryRelations(d *db.Database, q schema.Query) error {
+	for _, a := range q.Atoms() {
+		if r := d.Relation(a.Rel); r != nil && (r.Arity != a.Arity() || r.Key != a.Key) {
+			return fmt.Errorf("relation %s is stored with signature [%d, %d] but the query uses [%d, %d]",
+				a.Rel, r.Arity, r.Key, a.Arity(), a.Key)
 		}
 	}
 	return nil

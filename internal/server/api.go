@@ -71,9 +71,11 @@ type CertainResponse struct {
 // ExplainInfo is the `"explain": true` payload: what the engine chose
 // and what it cost, stage by stage. Strategy names come from
 // engine.Strategy ("compiled-bitmap", "compiled", "tree-walk",
-// "matching", "reachability", "naive-repair"); shard plans from engine.ShardPlanFor ("single",
-// "scatter", "pinned", "union"). See docs/OBSERVABILITY.md for the
-// schema contract.
+// "matching", "reachability", "naive-repair"); shard plans from
+// engine.ShardPlan ("single", "scatter", "pinned", "union"). A router
+// forwarding a read returns the answering shard's explain with its own
+// shard plan and stage clock. See docs/OBSERVABILITY.md for the schema
+// contract.
 type ExplainInfo struct {
 	// Strategy is the evaluation strategy actually executed.
 	Strategy string `json:"strategy"`
@@ -90,7 +92,9 @@ type ExplainInfo struct {
 	// one line per binder slot ("s0 ∈ R.1", "s1 ∈ min(R.0, S.1)", …).
 	Quantifiers []string `json:"quantifiers,omitempty"`
 	// ShardPlan and Shards report how a named-database evaluation was
-	// spread over the store's shards (absent for inline facts).
+	// spread over the store's shards (absent for inline facts): the
+	// shards asked for forwarded reads, the shards the verdict depends
+	// on for union reads.
 	ShardPlan string `json:"shardPlan,omitempty"`
 	Shards    []int  `json:"shards,omitempty"`
 	// PlanDecision is the planner's recorded strategy selection for

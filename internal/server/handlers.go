@@ -153,9 +153,9 @@ func (s *Server) handleCertain(w http.ResponseWriter, r *http.Request) {
 		// consistent cross-shard view through the engine's result cache,
 		// so repeated checks at an unchanged global version — or a version
 		// moved only by writes to relations q does not mention — skip
-		// evaluation entirely. Evaluation itself scatter-gathers:
-		// single-atom queries OR per-shard verdicts, joins run on the
-		// memoized union (engine.CertainShardedVersioned).
+		// evaluation entirely. Evaluation follows engine.ShardPlan:
+		// scatter and pinned queries OR per-shard verdicts, joins run on
+		// the memoized union (engine.CertainShardedVersioned).
 		sh := s.stores.Get(req.Database)
 		if sh == nil {
 			s.writeError(w, http.StatusNotFound, "unknown_database",
@@ -163,6 +163,11 @@ func (s *Server) handleCertain(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		view := sh.View()
+		// Declares are broadcast, so shard 0 knows every signature.
+		if err := parse.CheckQueryRelations(view.Shard(0), q); err != nil {
+			s.writeError(w, http.StatusUnprocessableEntity, "bad_query", err.Error())
+			return
+		}
 		v, err := s.bounded(r.Context(), func() (any, error) {
 			var p *core.Prepared
 			var planHit bool
@@ -186,7 +191,7 @@ func (s *Server) handleCertain(w http.ResponseWriter, r *http.Request) {
 				esp.End()
 				return nil, err
 			}
-			shardPlan, shards := engine.ShardPlanFor(q, view)
+			shardPlan, shards := engine.ShardPlan(q, view.NumShards(), view.Owner)
 			esp.SetAttr("resultCache", cacheOutcome(cached)).SetAttr("shardPlan", shardPlan)
 			esp.End()
 			s.reg.Counter(metrics.Label("eval_total",
@@ -356,10 +361,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			items = append(items, engine.Item{})
 			continue
 		}
-		resolveErrs = append(resolveErrs, "")
 		// The union of one consistent view; for single-shard members this
 		// is the snapshot itself, no merge happens.
-		items = append(items, engine.Item{Query: q, DB: sh.View().Union()})
+		d := sh.View().Union()
+		if err := parse.CheckQueryRelations(d, q); err != nil {
+			resolveErrs = append(resolveErrs, err.Error())
+			items = append(items, engine.Item{})
+			continue
+		}
+		resolveErrs = append(resolveErrs, "")
+		items = append(items, engine.Item{Query: q, DB: d})
 	}
 	for _, facts := range req.Facts {
 		d, err := parse.Database(facts)

@@ -55,9 +55,11 @@ func attr(sp obs.SpanView, key string) string {
 
 // TestTraceCoverageThroughRouter is the tentpole acceptance check: one
 // traced /v1/certain through a 4-shard router yields a single trace ID
-// covering the router's parse/prepare and one RPC span per contacted
-// shard, with the same ID joined on every shard server's own trace, and
-// span durations that fit inside the measured request latency.
+// covering the router's parse and one RPC span per contacted shard,
+// with the same ID joined on every shard server's own trace (where the
+// forwarded read is prepared and evaluated), and span durations that
+// fit inside the measured request latency. A union read, which the
+// router evaluates itself, adds the router's prepare span.
 func TestTraceCoverageThroughRouter(t *testing.T) {
 	const n = 4
 	shardURLs := make([]string, n)
@@ -103,15 +105,21 @@ func TestTraceCoverageThroughRouter(t *testing.T) {
 		t.Errorf("trace duration %dns exceeds measured request latency %dns", tv.DurNanos, latency.Nanoseconds())
 	}
 	spans := spanNames(tv)
-	prep, ok := spans["prepare"]
-	if !ok {
-		t.Fatalf("router trace lacks a prepare span: %+v", tv.Spans)
-	}
-	if attr(prep, "planCache") == "" || attr(prep, "strategy") == "" {
-		t.Errorf("prepare span lacks planCache/strategy attrs: %v", prep.Attrs)
+	if _, ok := spans["prepare"]; ok {
+		t.Errorf("router prepared a forwarded read: %+v", tv.Spans)
 	}
 	if _, ok := spans["parse"]; !ok {
 		t.Errorf("router trace lacks a parse span")
+	}
+	if ans.Explain.Strategy == "" || ans.Explain.PlanCache == "" {
+		t.Errorf("forwarded explain lacks the shard's strategy/planCache: %+v", ans.Explain)
+	}
+	stages := map[string]bool{}
+	for _, st := range ans.Explain.Stages {
+		stages[st.Name] = true
+	}
+	if !stages["parse"] || !stages["gather"] || !stages["eval"] || stages["prepare"] {
+		t.Errorf("forwarded explain stages = %+v, want parse, gather, eval", ans.Explain.Stages)
 	}
 	rpcShards := map[string]bool{}
 	var sum int64
@@ -146,6 +154,25 @@ func TestTraceCoverageThroughRouter(t *testing.T) {
 		if sp, ok := ss["prepare"]; !ok || attr(sp, "planCache") == "" {
 			t.Errorf("shard %d trace lacks a prepare span with planCache: %+v", i, sd.Traces[0].Spans)
 		}
+	}
+
+	// A union read prepares and evaluates on the router.
+	uresp := postJSON(t, rts.URL+"/v1/certain", CertainRequest{Query: "R(x | y), !S(y | x)", Database: "d", Explain: true})
+	uid := uresp.Header.Get(obs.TraceHeader)
+	uans := decodeBody[CertainResponse](t, uresp)
+	if uans.Explain == nil || uans.Explain.ShardPlan != engine.ShardPlanUnion {
+		t.Fatalf("union read explain: %+v", uans.Explain)
+	}
+	udoc := getTraces(t, rts.URL, "?id="+uid)
+	if len(udoc.Traces) != 1 {
+		t.Fatalf("router has %d traces for id %s, want 1", len(udoc.Traces), uid)
+	}
+	prep, ok := spanNames(udoc.Traces[0])["prepare"]
+	if !ok {
+		t.Fatalf("union read trace lacks a router prepare span: %+v", udoc.Traces[0].Spans)
+	}
+	if attr(prep, "planCache") == "" || attr(prep, "strategy") == "" {
+		t.Errorf("prepare span lacks planCache/strategy attrs: %v", prep.Attrs)
 	}
 
 	// The limit filter caps the listing.

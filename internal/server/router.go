@@ -32,11 +32,12 @@ import (
 //   - Writes: each fact routes to shard.Owner(rel, key, N); relation
 //     signatures are broadcast to every shard so negated atoms find
 //     their (possibly empty) relations everywhere.
-//   - Single-positive-atom reads: the query's touched shards (ground
-//     keys pin blocks) answer locally and the verdicts OR-combine —
-//     sound because blocks are whole on one shard (docs/SHARDING.md).
-//   - Everything else: the touched shards' facts are fetched, merged
-//     locally, and evaluated on the router's own engine.
+//   - Reads follow engine.ShardPlan. Scatter, pinned and single plans
+//     are forwarded: the planned shards answer on their own slices and
+//     the verdicts OR-combine — exact because blocks are whole on one
+//     shard (docs/SHARDING.md). Union plans fetch the query's relations
+//     from the planned shards, merge them, and evaluate on the router's
+//     own engine.
 //
 // Reads prefer a shard's replica and fall back to its primary. A dead
 // shard degrades serving: queries whose touched set avoids it are
@@ -118,6 +119,10 @@ func (rt *Router) Handler() http.Handler { return rt.handler }
 // Inner exposes the local serving half (engine, registry, drain).
 func (rt *Router) Inner() *Server { return rt.inner }
 
+// owner places block (rel, key) on one of the router's shards — the
+// placement the write path partitions by.
+func (rt *Router) owner(rel string, key []string) int { return shard.Owner(rel, key, len(rt.shards)) }
+
 // readTargets lists the base URLs to try for a read of shard i:
 // replica first, then primary.
 func (rt *Router) readTargets(i int) []string {
@@ -139,45 +144,52 @@ func (rt *Router) postJSON(ctx context.Context, base, path string, body, out any
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if id := obs.FromContext(ctx).ID(); id != "" {
-		req.Header.Set(obs.TraceHeader, id)
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return decodeShardResponse(resp, out)
+	_, err = rt.do(req, out)
+	return err
 }
 
-// getJSON fetches base+path and decodes the response into out.
-func (rt *Router) getJSON(ctx context.Context, base, path string, out any) error {
+// getJSON fetches base+path and decodes the response into out,
+// returning the response body's size.
+func (rt *Router) getJSON(ctx context.Context, base, path string, out any) (int, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if id := obs.FromContext(ctx).ID(); id != "" {
+	return rt.do(req, out)
+}
+
+// do sends one shard request under the caller's trace and decodes the
+// reply: the payload on 2xx, the error envelope otherwise.
+func (rt *Router) do(req *http.Request, out any) (int, error) {
+	if id := obs.FromContext(req.Context()).ID(); id != "" {
 		req.Header.Set(obs.TraceHeader, id)
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer resp.Body.Close()
-	return decodeShardResponse(resp, out)
+	if err := shardStatusError(resp); err != nil {
+		return 0, err
+	}
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return len(raw), err
+	}
+	return len(raw), json.Unmarshal(raw, out)
 }
 
-// decodeShardResponse decodes a shard server's reply: the payload on
-// 2xx, the error envelope otherwise.
-func decodeShardResponse(resp *http.Response, out any) error {
-	if resp.StatusCode/100 != 2 {
-		var eb ErrorBody
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb) == nil && eb.Error.Code != "" {
-			return &shardError{status: resp.StatusCode, code: eb.Error.Code, msg: eb.Error.Message}
-		}
-		return fmt.Errorf("shard returned status %d", resp.StatusCode)
+// shardStatusError turns a non-2xx shard reply into an error: a
+// *shardError when the body is the structured error envelope.
+func shardStatusError(resp *http.Response) error {
+	if resp.StatusCode/100 == 2 {
+		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	var eb ErrorBody
+	if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb) == nil && eb.Error.Code != "" {
+		return &shardError{status: resp.StatusCode, code: eb.Error.Code, msg: eb.Error.Message}
+	}
+	return fmt.Errorf("shard returned status %d", resp.StatusCode)
 }
 
 // shardError is a structured error relayed from a shard server.
@@ -240,7 +252,8 @@ func (rt *Router) writePartialResult(w http.ResponseWriter, r *http.Request, err
 }
 
 // handleCertain answers POST /v1/certain on the router. Inline-facts
-// requests evaluate locally; named databases scatter-gather.
+// requests evaluate locally; named databases follow engine.ShardPlan:
+// forwarded to the planned shards, or facts-merged for union plans.
 func (rt *Router) handleCertain(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
@@ -269,8 +282,81 @@ func (rt *Router) handleCertain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	psp.End()
+	plan, shards := engine.ShardPlan(q, len(rt.shards), rt.owner)
+	if plan == engine.ShardPlanUnion {
+		rt.unionCertain(w, r, req, q, shards, clock)
+		return
+	}
+	rt.forwardCertain(w, r, req, plan, shards, clock)
+}
+
+// forwardCertain answers a read whose plan decomposes per shard: the
+// planned shards answer it on their own slices and the verdicts
+// OR-combine, the first true short-circuiting (one shard for pinned and
+// single plans). The router prepares and evaluates nothing. Its explain
+// is the last asked shard's, whose strategy and caches are what ran,
+// with the router's plan, the asked shards and the router's stage
+// clock: eval is the evaluation time the shards report in their own
+// explains, gather the rest of the shard round trips, so the stages
+// still partition the request.
+func (rt *Router) forwardCertain(w http.ResponseWriter, r *http.Request, req CertainRequest, plan string, shards []int, clock *stageClock) {
+	ctx := r.Context()
+	fwd := CertainRequest{Query: req.Query, Database: req.Database, Explain: req.Explain}
+	var ans CertainResponse
+	var asked []int
+	var evalNanos int64
+	var err error
+	start := time.Now()
+	for _, i := range shards {
+		ans = CertainResponse{}
+		err = rt.readShard(ctx, i, func(base string) error {
+			return rt.postJSON(ctx, base, "/v1/certain", fwd, &ans)
+		})
+		if err != nil {
+			break
+		}
+		asked = append(asked, i)
+		if ans.Explain != nil {
+			for _, st := range ans.Explain.Stages {
+				if st.Name == "eval" {
+					evalNanos += st.Nanos
+				}
+			}
+		}
+		if ans.Certain {
+			break
+		}
+	}
+	roundTrips := time.Since(start).Nanoseconds()
+	if err != nil {
+		rt.relayShardError(w, r, err)
+		return
+	}
+	resp := CertainResponse{Certain: ans.Certain, Verdict: ans.Verdict, Database: req.Database}
+	if req.Explain {
+		clock.add("gather", max(roundTrips-evalNanos, 0))
+		clock.add("eval", evalNanos)
+		info := ans.Explain
+		if info == nil {
+			info = &ExplainInfo{}
+		}
+		info.ShardPlan, info.Shards = plan, asked
+		info.Stages = clock.stages
+		info.TraceID = obs.FromContext(ctx).ID()
+		resp.Explain = info
+	}
+	rt.inner.writeJSON(w, http.StatusOK, resp)
+}
+
+// unionCertain answers a union-plan read: fetch the query's relations
+// from the planned shards at their served versions, merge, and evaluate
+// on the router's own engine. Ground-key joins confined to live shards
+// stay answerable when other shards are down.
+func (rt *Router) unionCertain(w http.ResponseWriter, r *http.Request, req CertainRequest, q schema.Query, shards []int, clock *stageClock) {
+	tr := obs.FromContext(r.Context())
 	var p *core.Prepared
 	var planHit bool
+	var err error
 	sp := tr.StartSpan("prepare")
 	clock.time("prepare", func() { p, planHit, err = rt.inner.eng.PrepareCached(q) })
 	if err != nil {
@@ -282,58 +368,10 @@ func (rt *Router) handleCertain(w http.ResponseWriter, r *http.Request) {
 	strategy := rt.inner.eng.Strategy(p)
 	sp.SetAttr("planCache", cacheOutcome(planHit)).SetAttr("strategy", strategy)
 	sp.End()
-	verdict := string(p.Classification().Verdict)
-	n := len(rt.shards)
-	touched, _ := shard.Touched(q, n)
 
-	if len(q.Lits) == 1 && !q.Lits[0].Neg {
-		// Verdict scatter: per-shard answers OR-combine for a single
-		// positive atom, so only the touched shards are asked and the
-		// first true short-circuits. Evaluation runs on the shards; the
-		// explain reports the scatter plan and the contacted shards.
-		certain := false
-		asked := touched[:0:0]
-		clock.time("scatter", func() {
-			for _, i := range touched {
-				var ans CertainResponse
-				err = rt.readShard(r.Context(), i, func(base string) error {
-					return rt.postJSON(r.Context(), base, "/v1/certain",
-						CertainRequest{Query: req.Query, Database: req.Database}, &ans)
-				})
-				if err != nil {
-					return
-				}
-				asked = append(asked, i)
-				if ans.Certain {
-					certain = true
-					return
-				}
-			}
-		})
-		if err != nil {
-			rt.relayShardError(w, r, err)
-			return
-		}
-		resp := CertainResponse{
-			Certain: certain, Verdict: verdict, Database: req.Database,
-		}
-		if req.Explain {
-			info := explainFor(p, strategy, cacheOutcome(planHit), clock, tr)
-			info.ShardPlan = engine.ShardPlanScatter
-			info.Shards = asked
-			resp.Explain = info
-		}
-		rt.inner.writeJSON(w, http.StatusOK, resp)
-		return
-	}
-
-	// Facts-merge evaluation: fetch the touched shards' slices at their
-	// served versions, merge, and evaluate locally. Ground-key
-	// multi-atom queries confined to live shards stay answerable when
-	// other shards are down.
 	var merged *db.Database
+	clock.time("gather", func() { merged, err = rt.gatherFacts(r.Context(), req.Database, shards, p.QueryRels()) })
 	var bad *badShardFacts
-	clock.time("gather", func() { merged, err = rt.gatherFacts(r.Context(), req.Database, touched) })
 	if errors.As(err, &bad) {
 		rt.inner.writeError(w, http.StatusBadGateway, "bad_shard_facts", bad.Error())
 		return
@@ -360,12 +398,13 @@ func (rt *Router) handleCertain(w http.ResponseWriter, r *http.Request) {
 		rt.inner.reg.Counter(metrics.Label("eval_total",
 			"strategy", strategy, "cache", "bypass")).Inc()
 		resp := CertainResponse{
-			Certain: certain, Verdict: verdict, Database: req.Database,
+			Certain: certain, Verdict: string(p.Classification().Verdict), Database: req.Database,
 		}
 		if req.Explain {
 			info := explainFor(p, strategy, cacheOutcome(planHit), clock, tr)
-			info.ShardPlan = "merge"
-			info.Shards = touched
+			info.ShardPlan = engine.ShardPlanUnion
+			info.Shards = shards
+			rt.inner.attachPlanDecision(info, p, merged)
 			resp.Explain = info
 		}
 		return resp, nil
@@ -388,23 +427,28 @@ func (rt *Router) relayShardError(w http.ResponseWriter, r *http.Request, err er
 	rt.writePartialResult(w, r, err)
 }
 
-// badShardFacts is a shard facts export that does not merge: handleCertain
-// answers it as bad_shard_facts instead of relaying it as a shard failure.
+// badShardFacts is a shard facts export that does not merge: the union
+// read answers it as bad_shard_facts instead of relaying it as a shard
+// failure.
 type badShardFacts struct{ err error }
 
 func (e *badShardFacts) Error() string { return e.err.Error() }
 
-// gatherFacts fetches the touched shards' slices of database at their
-// served versions and merges them into one database — the facts-merge
-// read behind both handleCertain and the router's watch re-evaluation.
-// Shard read failures return as readShard reports them; merge failures
-// as *badShardFacts.
-func (rt *Router) gatherFacts(ctx context.Context, database string, touched []int) (*db.Database, error) {
+// gatherFacts fetches relations rels of database from the given shards
+// at their served versions and merges them into one database — the
+// facts-merge behind union reads and union watches. The bytes each
+// shard ships count into shard_gather_bytes_total{shard}. Shard read
+// failures return as readShard reports them; merge failures as
+// *badShardFacts.
+func (rt *Router) gatherFacts(ctx context.Context, database string, shards []int, rels []string) (*db.Database, error) {
+	path := "/v1/db/facts?db=" + url.QueryEscape(database) + "&rels=" + url.QueryEscape(strings.Join(rels, ","))
 	merged := db.New()
-	for _, i := range touched {
+	for _, i := range shards {
 		var fr FactsResponse
 		err := rt.readShard(ctx, i, func(base string) error {
-			return rt.getJSON(ctx, base, "/v1/db/facts?db="+url.QueryEscape(database), &fr)
+			n, err := rt.getJSON(ctx, base, path, &fr)
+			rt.inner.reg.Counter(metrics.Label("shard_gather_bytes_total", "shard", strconv.Itoa(i))).Add(uint64(n))
+			return err
 		})
 		if err != nil {
 			return nil, err
@@ -591,7 +635,8 @@ func (rt *Router) handleDBInfo(w http.ResponseWriter, r *http.Request) {
 	for i := range rt.shards {
 		var info DBInfoResponse
 		err := rt.readShard(r.Context(), i, func(base string) error {
-			return rt.getJSON(r.Context(), base, "/v1/db/info", &info)
+			_, err := rt.getJSON(r.Context(), base, "/v1/db/info", &info)
+			return err
 		})
 		if err != nil {
 			rt.writePartialResult(w, r, err)
@@ -647,7 +692,8 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		var st StatsResponse
 		err := rt.readShard(r.Context(), i, func(base string) error {
 			entry.URL = base
-			return rt.getJSON(r.Context(), base, "/v1/stats", &st)
+			_, err := rt.getJSON(r.Context(), base, "/v1/stats", &st)
+			return err
 		})
 		if err != nil {
 			entry.Error = err.Error()

@@ -3,28 +3,32 @@ package server
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
 	"time"
 
 	"cqa/internal/core"
+	"cqa/internal/engine"
 	"cqa/internal/parse"
 	"cqa/internal/schema"
-	"cqa/internal/shard"
 )
 
 // handleWatch answers POST /v1/watch on the router: it opens one watch
 // stream per shard (replica-preferring, reconnecting like the
 // follower's WAL streams) and merges them into one global flip stream.
-// For a single positive atom the global verdict is the OR of the shard
-// verdicts carried by the streams themselves; every other query
-// re-evaluates on the merged touched-shard facts whenever a touched
-// shard reports a change. Untouched shards cannot affect the verdict
-// (the placement owns their blocks elsewhere) but their streams keep
-// the version accounting exact: the stream's version is the sum of all
-// shard versions — the same global version the write path acknowledges,
-// so write acks work directly as resume watermarks.
+// The global verdict follows engine.ShardPlan: for every plan but union
+// it is the OR of the planned shards' verdicts carried by the streams
+// themselves, so a flip is relayed exactly when a shard streams it; a
+// union plan re-evaluates on the planned shards' merged facts whenever
+// one of them reports a change. Unplanned shards cannot affect the
+// verdict (the placement owns their blocks elsewhere) but their streams
+// keep the version accounting exact: the stream's version is the sum of
+// all shard versions — the same global version the write path
+// acknowledges, so write acks work directly as resume watermarks. A
+// shard that rejects the registration (unknown database, bad query)
+// has its error relayed before any frame is written.
 func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, rt.inner.opt.MaxBodyBytes)
 	var req WatchRequest
@@ -45,18 +49,22 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 		rt.inner.writeError(w, http.StatusUnprocessableEntity, "bad_query", err.Error())
 		return
 	}
-	p, err := rt.inner.eng.Prepare(q)
-	if err != nil {
-		rt.inner.writeError(w, http.StatusUnprocessableEntity, "watch_failed", err.Error())
-		return
-	}
 	n := len(rt.shards)
-	touched, _ := shard.Touched(q, n)
-	isTouched := make(map[int]bool, len(touched))
-	for _, i := range touched {
-		isTouched[i] = true
+	plan, shards := engine.ShardPlan(q, n, rt.owner)
+	union := plan == engine.ShardPlanUnion
+	// Only a union plan evaluates on the router; the shards prepare
+	// (and reject) the query for every other plan.
+	var p *core.Prepared
+	if union {
+		if p, err = rt.inner.eng.Prepare(q); err != nil {
+			rt.inner.writeError(w, http.StatusUnprocessableEntity, "watch_failed", err.Error())
+			return
+		}
 	}
-	scatter := len(q.Lits) == 1 && !q.Lits[0].Neg
+	planned := make(map[int]bool, len(shards))
+	for _, i := range shards {
+		planned[i] = true
+	}
 
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
@@ -88,7 +96,7 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 	// every shard has reported a header; until then — and while the sum
 	// is behind the req.From watermark — no frame is written.
 	versions := make(map[int]uint64, n)
-	verdicts := make(map[int]bool, len(touched))
+	verdicts := make(map[int]bool, len(shards))
 	known := make(map[int]bool, n)
 	sum := func() uint64 {
 		var v uint64
@@ -98,15 +106,15 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return v
 	}
 	globalVerdict := func() (bool, error) {
-		if scatter {
-			for _, i := range touched {
-				if verdicts[i] {
-					return true, nil
-				}
-			}
-			return false, nil
+		if union {
+			return rt.gatherEval(ctx, q, p, req.Database, shards)
 		}
-		return rt.gatherEval(ctx, q, p, req.Database, touched)
+		for _, i := range shards {
+			if verdicts[i] {
+				return true, nil
+			}
+		}
+		return false, nil
 	}
 
 	headerSent := false
@@ -125,13 +133,21 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 			}
 		case sev := <-events:
 			if sev.err != nil {
+				var se *shardError
+				if errors.As(sev.err, &se) && se.status/100 == 4 {
+					// The shard rejected the watch itself; retrying cannot help.
+					if !headerSent {
+						rt.inner.writeError(w, se.status, se.code, se.msg)
+					}
+					return
+				}
 				// The shard watcher reconnects on its own; heartbeats keep
 				// flowing with the last settled state meanwhile.
 				continue
 			}
 			idle := sev.ev.Type == WatchEventHeartbeat && sev.ev.Version == versions[sev.shard]
 			versions[sev.shard] = sev.ev.Version
-			if scatter && isTouched[sev.shard] {
+			if !union && planned[sev.shard] {
 				verdicts[sev.shard] = sev.ev.Verdict
 			}
 			firstSight := !known[sev.shard]
@@ -139,8 +155,8 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 			if len(known) < n {
 				continue
 			}
-			if headerSent && (!isTouched[sev.shard] || (idle && !firstSight)) {
-				// Untouched shards only keep the version sum exact, and an
+			if headerSent && (!planned[sev.shard] || (idle && !firstSight)) {
+				// Unplanned shards only keep the version sum exact, and an
 				// idle heartbeat moved nothing: skip the (possibly
 				// facts-merging) global recomputation.
 				continue
@@ -234,9 +250,12 @@ func (rt *Router) watchShardOnce(ctx context.Context, i int, database, query str
 			lastErr = err
 			continue
 		}
-		if resp.StatusCode != http.StatusOK {
+		if err := shardStatusError(resp); err != nil {
 			resp.Body.Close()
-			lastErr = fmt.Errorf("shard %d watch: status %d", i, resp.StatusCode)
+			if _, structured := err.(*shardError); structured {
+				return err
+			}
+			lastErr = fmt.Errorf("shard %d watch: %w", i, err)
 			continue
 		}
 		sc := bufio.NewScanner(resp.Body)
@@ -263,11 +282,11 @@ func (rt *Router) watchShardOnce(ctx context.Context, i int, database, query str
 	return lastErr
 }
 
-// gatherEval evaluates p on the touched shards' merged facts: the
-// watch-path twin of handleCertain's facts-merge read, without the
-// explain/trace scaffolding.
-func (rt *Router) gatherEval(ctx context.Context, q schema.Query, p *core.Prepared, database string, touched []int) (bool, error) {
-	merged, err := rt.gatherFacts(ctx, database, touched)
+// gatherEval evaluates p on the planned shards' merged facts: the
+// watch-path twin of unionCertain, without the explain/trace
+// scaffolding.
+func (rt *Router) gatherEval(ctx context.Context, q schema.Query, p *core.Prepared, database string, shards []int) (bool, error) {
+	merged, err := rt.gatherFacts(ctx, database, shards, p.QueryRels())
 	if err != nil {
 		return false, err
 	}

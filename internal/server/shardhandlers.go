@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 
 	"cqa/internal/parse"
 	"cqa/internal/store"
@@ -49,10 +50,12 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// handleDBFacts answers GET /v1/db/facts?db=<name>[&shard=<i>]: the
-// named database's facts (one shard's slice, or the whole union) in the
-// cqa database syntax, with every relation signature alongside, at one
-// consistent version.
+// handleDBFacts answers GET /v1/db/facts?db=<name>[&shard=<i>]
+// [&rels=R,S]: the named database's facts (one shard's slice, or the
+// whole union) in the cqa database syntax, with the relation signatures
+// alongside, at one consistent version. rels restricts both to the
+// named relations — a router gathering for one query ships only what
+// the query reads.
 func (s *Server) handleDBFacts(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("db")
 	sh := s.stores.Get(name)
@@ -76,7 +79,13 @@ func (s *Server) handleDBFacts(w http.ResponseWriter, r *http.Request) {
 	if shardIdx >= 0 {
 		d = view.Shard(shardIdx)
 	}
-	facts, err := parse.FormatDatabase(d)
+	// Declares are broadcast, so shard 0 knows every signature — even
+	// relations with no facts on the exported shard.
+	rels := view.Shard(0).RelationNames()
+	if v := r.URL.Query().Get("rels"); v != "" {
+		rels = strings.Split(v, ",")
+	}
+	facts, err := parse.FormatRelations(d, rels)
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, "unrenderable_facts", err.Error())
 		return
@@ -89,11 +98,10 @@ func (s *Server) handleDBFacts(w http.ResponseWriter, r *http.Request) {
 		Relations: make([]RelSig, 0, 4),
 		Facts:     facts,
 	}
-	// Declares are broadcast, so shard 0 knows every signature — even
-	// relations with no facts on the exported shard.
-	for _, rel := range view.Shard(0).RelationNames() {
-		rr := view.Shard(0).Relation(rel)
-		resp.Relations = append(resp.Relations, RelSig{Name: rel, Arity: rr.Arity, Key: rr.Key})
+	for _, rel := range rels {
+		if rr := view.Shard(0).Relation(rel); rr != nil {
+			resp.Relations = append(resp.Relations, RelSig{Name: rel, Arity: rr.Arity, Key: rr.Key})
+		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }

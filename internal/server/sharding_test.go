@@ -264,7 +264,9 @@ func TestRouterBadShardFacts(t *testing.T) {
 		fmt.Fprint(w, `{"database": "d", "shard": 0, "shards": 1, "facts": "broken("}`)
 	}))
 	t.Cleanup(fake.Close)
-	rt := NewRouter(RouterOptions{Shards: []string{fake.URL}, Options: Options{Engine: engine.New(engine.Options{})}})
+	// Two shards, so the open join plans a union over both (a one-shard
+	// router would forward it).
+	rt := NewRouter(RouterOptions{Shards: []string{fake.URL, fake.URL}, Options: Options{Engine: engine.New(engine.Options{})}})
 	rts := httptest.NewServer(rt.Handler())
 	t.Cleanup(rts.Close)
 

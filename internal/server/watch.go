@@ -46,6 +46,10 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	view := sh.View()
+	if err := parse.CheckQueryRelations(view.Shard(0), q); err != nil {
+		s.writeError(w, http.StatusUnprocessableEntity, "bad_query", err.Error())
+		return
+	}
 	watch, state, err := s.eng.RegisterWatch(q, req.Database,
 		delta.Snapshot{DB: view.Union(), Version: view.Version()})
 	if err != nil {
